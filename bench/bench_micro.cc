@@ -48,9 +48,9 @@ std::map<std::string, bench::BenchFields>& FieldRegistry() {
 }
 
 // The SIMD level the process dispatches at, recorded as the `simd` field
-// on every series whose kernels route through the SIMD layer (grouping,
-// Mondrian, Hilbert partitioning, the KL estimators) so trajectory diffs
-// can tell a code regression from a host with a different vector ISA.
+// on the hot-path series (grouping, Mondrian, Hilbert partitioning, the KL
+// estimators, the paged and cached paths) so trajectory diffs can tell a
+// code regression from a host with a different vector ISA.
 const char* ActiveSimd() { return simd::LevelName(simd::ActiveLevel()); }
 
 // ---- PillarIndex vs naive histogram scanning (ablation #2) ----
@@ -272,22 +272,6 @@ void BM_KlMultiDimColumnar(benchmark::State& state) {
 }
 BENCHMARK(BM_KlMultiDimColumnar)->Name("kl_multidim_columnar")->Arg(10000)->Arg(100000);
 
-// Cache-blocking sweep of the KL term staging (KlTuning::block_rows) on
-// the heaviest estimator workload. The committed kKlBlockRows default was
-// picked from this series; it stays registered so any future change to
-// the staging layout re-measures the same points.
-void BM_KlBlock(benchmark::State& state) {
-  const Table& t = SizedSal7(100000);
-  MondrianResult mondrian = MondrianAnonymize(t, 6);
-  KlTuning tuning;
-  tuning.block_rows = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(KlDivergenceMultiDim(t, mondrian.generalization, tuning));
-  }
-  state.SetItemsProcessed(state.iterations() * t.size());
-}
-BENCHMARK(BM_KlBlock)->Name("kl_block")->Arg(1024)->Arg(4096)->Arg(16384);
-
 // ---- Out-of-core series ----
 //
 // The paged data plane under its default (unbudgeted) sizing: streamed
@@ -473,9 +457,6 @@ void RegisterBenchFields() {
     fields[series("grouping_paged")] = {n, 7, 1, ActiveSimd()};
     fields[series("sweep_cached")] = {n, 4, 1, ActiveSimd()};
     fields[series("grouping_artifact_hit")] = {n, 4, 1, ActiveSimd()};
-  }
-  for (const char* name : {"kl_block/1024", "kl_block/4096", "kl_block/16384"}) {
-    fields[name] = {100000, 7, 1, ActiveSimd()};
   }
   fields["BM_GroupedTableConstruction"] = {50000, 4, 1, ActiveSimd()};
   for (const char* name : {"BM_TpSolveFromGroups/2", "BM_TpSolveFromGroups/6",

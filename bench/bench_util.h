@@ -119,8 +119,8 @@ struct BenchFields {
   std::uint32_t attrs = 0;
   /// Thread budget the benchmark ran under (1 = the sequential series).
   std::uint32_t threads = 0;
-  /// SIMD dispatch level the benchmark ran at ("scalar", "sse2" or
-  /// "avx2"); empty = not recorded. Recorded on the series whose kernels
+  /// SIMD dispatch level the benchmark ran at ("scalar" or "avx2");
+  /// empty = not recorded. Recorded on the series whose kernels
   /// route through the SIMD layer, so trajectory diffs can tell a code
   /// regression from a host with a different vector ISA.
   std::string simd;

@@ -8,7 +8,6 @@
 #include "common/flat_map.h"
 #include "common/memory_budget.h"
 #include "common/parallel.h"
-#include "common/simd.h"
 
 namespace ldv {
 
@@ -40,6 +39,16 @@ constexpr unsigned kShardShift = 60;
 constexpr std::size_t kRowGrain = 16384;
 
 std::size_t ShardOf(std::uint64_t mixed) { return mixed >> kShardShift; }
+
+constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
+constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+
+/// FNV-1a column fold: hashes[i] = (hashes[i] ^ col[i]) * kFnvPrime. One
+/// call per attribute column folds per-row signature hashes without
+/// materializing rows.
+void FnvFoldColumn(std::uint64_t* hashes, const Value* col, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) hashes[i] = (hashes[i] ^ col[i]) * kFnvPrime;
+}
 
 /// Rough resident scratch of the sharded build: the u64 hash array plus
 /// six u32 row-length arrays (~32 bytes per row).
@@ -83,17 +92,17 @@ void GroupedTable::BuildSharded(const Table& table, Workspace* workspace) {
   // Row signature hashes, computed once. FNV-1a folded column by column:
   // every row's hash absorbs its values in attribute order (identical to a
   // per-row FNV over the signature), but each pass streams one contiguous
-  // column through the SIMD fold kernel. Equal signatures hash equal, and
-  // the shard indexes below compare full signatures on every hash hit, so
-  // collisions only cost an extra comparison. The fold is a pure per-row
-  // map, so the hash array is byte-identical at any thread count.
+  // column. Equal signatures hash equal, and the shard indexes below
+  // compare full signatures on every hash hit, so collisions only cost an
+  // extra comparison. The fold is a pure per-row map, so the hash array is
+  // byte-identical at any thread count.
   auto hashes_s = ws.U64();
   std::vector<std::uint64_t>& hashes = *hashes_s;
-  hashes.assign(n, 1469598103934665603ULL);
+  hashes.assign(n, kFnvOffsetBasis);
   std::uint64_t* hash_data = hashes.data();
   ParallelFor(n, kRowGrain, ws, [&](std::size_t begin, std::size_t end, Workspace&) {
     for (AttrId a = 0; a < d; ++a) {
-      simd::FnvFoldColumn(hash_data + begin, cols[a] + begin, end - begin);
+      FnvFoldColumn(hash_data + begin, cols[a] + begin, end - begin);
     }
   });
 
@@ -376,7 +385,7 @@ void GroupedTable::BuildChunkedImpl(const Table& table, Workspace* workspace,
   if (sorter == nullptr) throw IoFailure("external sort unavailable: " + sort_error);
 
   // Single sequential pass in fixed row chunks: hash the chunk with the
-  // SIMD column fold, then resolve each row's signature in a growing
+  // FNV column fold, then resolve each row's signature in a growing
   // (hash, gid) probe table. Scanning rows in order makes group ids
   // first-occurrence ranks -- the exact ids the sharded build assigns.
   auto chunk_hashes_s = ws.U64();
@@ -400,9 +409,9 @@ void GroupedTable::BuildChunkedImpl(const Table& table, Workspace* workspace,
   for (std::size_t begin = 0; begin < n; begin += kRowGrain) {
     const std::size_t end = std::min(n, begin + kRowGrain);
     const std::size_t len = end - begin;
-    std::fill_n(chunk_hashes.data(), len, 1469598103934665603ULL);
+    std::fill_n(chunk_hashes.data(), len, kFnvOffsetBasis);
     for (AttrId a = 0; a < d; ++a) {
-      simd::FnvFoldColumn(chunk_hashes.data(), cols[a] + begin, len);
+      FnvFoldColumn(chunk_hashes.data(), cols[a] + begin, len);
     }
     for (std::size_t i = 0; i < len; ++i) {
       const RowId r = static_cast<RowId>(begin + i);

@@ -59,7 +59,7 @@ struct QiGroup {
 class GroupedTable {
  public:
   /// Groups `table` by QI signature. O(n) expected time via hashing: rows
-  /// are hashed with the SIMD column fold, scattered into 16 hash shards,
+  /// are hashed with an FNV column fold, scattered into 16 hash shards,
   /// and each shard resolves its signatures in a private open-addressing
   /// index; the shards then merge with a deterministic first-occurrence
   /// tie-break, so group ids, row order and SA runs are byte-identical to
@@ -111,7 +111,7 @@ class GroupedTable {
   void ReleaseBudgetCharge() { arena_reservation_.Reset(); }
 
   /// Chunk-at-a-time low-memory build: one sequential pass streams the
-  /// columns in fixed row chunks through the SIMD hash fold, assigns
+  /// columns in fixed row chunks through the FNV hash fold, assigns
   /// first-occurrence group ranks in a growing (hash, gid) probe table of
   /// size O(s), and emits (gid << 32 | sa, row) records into a
   /// budget-bounded ExternalSorter whose merged order IS the arena layout

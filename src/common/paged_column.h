@@ -85,8 +85,8 @@ class PagedColumn {
 };
 
 /// Forward scan over rows [begin, end) of a sealed PagedColumn, handing
-/// out contiguous in-page spans: the existing columnar kernels
-/// (simd::FnvFoldColumn, simd::HilbertEncodeBlock, min/max and histogram
+/// out contiguous in-page spans: the existing columnar loops (the FNV
+/// signature fold, simd::HilbertEncodeBlock, min/max and histogram
 /// sweeps) run unchanged on each span. On a mapped column the very first
 /// Next() yields the whole range as a single span; on an unmapped column
 /// each span is one page, pinned while the caller holds it and unpinned

@@ -1,49 +1,18 @@
 // Scalar reference kernels and the runtime dispatch of the SIMD layer.
-// This translation unit compiles with -ffp-contract=off (see CMakeLists)
-// so the scalar KlAccumulate cannot fuse its multiply-add into an FMA --
-// the SSE2/AVX2 tiers use separate single-rounded multiplies and adds, and
-// bit-equality across tiers depends on the scalar tier doing the same.
 
 #include "common/simd.h"
 
 #include <atomic>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
+#include "common/simd_internal.h"
+
 namespace ldv {
 namespace simd {
 
-namespace {
-
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;  // 2^40 + 435
-
-void FnvFoldColumnScalar(std::uint64_t* hashes, const std::uint32_t* col, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) hashes[i] = (hashes[i] ^ col[i]) * kFnvPrime;
-}
-
-void StrideAccumulateScalar(std::uint64_t* acc, const std::uint32_t* col, std::uint64_t stride,
-                            std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) acc[i] += stride * col[i];
-}
-
-void MinMaxGatherU32Scalar(const std::uint32_t* values, const std::uint32_t* idx, std::size_t n,
-                           std::uint32_t* mn, std::uint32_t* mx) {
-  std::uint32_t lo = values[idx[0]], hi = lo;
-  for (std::size_t i = 1; i < n; ++i) {
-    std::uint32_t v = values[idx[i]];
-    lo = v < lo ? v : lo;
-    hi = v > hi ? v : hi;
-  }
-  *mn = lo;
-  *mx = hi;
-}
-
-void GatherU32Scalar(const std::uint32_t* values, const std::uint32_t* idx, std::size_t n,
-                     std::uint32_t* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = values[idx[i]];
-}
+namespace detail {
 
 std::size_t StabCandidatesScalar(const std::uint32_t* candidates, std::size_t n,
                                  const std::uint32_t* point, const std::uint32_t* const* lo,
@@ -66,15 +35,6 @@ std::size_t StabCandidatesScalar(const std::uint32_t* candidates, std::size_t n,
     }
   }
   return count;
-}
-
-void KlAccumulateScalar(const double* count, const double* fstar_n, double n, std::size_t len,
-                        double acc[4]) {
-  for (std::size_t i = 0; i < len; ++i) {
-    const double ratio = count[i] / fstar_n[i];
-    const double lg = std::log(ratio);
-    acc[i & 3] += (count[i] / n) * lg;
-  }
 }
 
 // Skilling's axes-to-transpose walk followed by the MSB-first bit
@@ -115,130 +75,67 @@ void HilbertEncodeBlockScalar(const std::uint32_t* const* cols, std::size_t d,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Dispatch.
-// ---------------------------------------------------------------------------
+}  // namespace detail
 
-const detail::Kernels* TableFor(Level level) {
-  switch (level) {
-    case Level::kAvx2:
-      return detail::Avx2Kernels();
-    case Level::kSse2:
-      return detail::Sse2Kernels();
-    case Level::kScalar:
-      break;
-  }
-  return &detail::kScalarKernels;
-}
+namespace {
 
-Level Detect() {
-#if defined(__x86_64__) || defined(__i386__)
-  if (detail::Avx2Kernels() != nullptr && __builtin_cpu_supports("avx2")) return Level::kAvx2;
-  if (detail::Sse2Kernels() != nullptr && __builtin_cpu_supports("sse2")) return Level::kSse2;
-#endif
-  return Level::kScalar;
-}
+Level Detect() { return detail::Avx2Supported() ? Level::kAvx2 : Level::kScalar; }
 
 Level Clamp(Level level) {
   const Level best = DetectedLevel();
-  return static_cast<int>(level) > static_cast<int>(best) ? best : level;
+  return level > best ? best : level;
 }
 
-// Initial level: DetectedLevel() clamped by LDIV_SIMD, read once.
+// Initial level: DetectedLevel() clamped by LDIV_SIMD.
 Level InitialLevel() {
   const char* env = std::getenv("LDIV_SIMD");
   if (env == nullptr || env[0] == '\0') return DetectedLevel();
   if (std::strcmp(env, "scalar") == 0) return Level::kScalar;
-  if (std::strcmp(env, "sse2") == 0) return Clamp(Level::kSse2);
   if (std::strcmp(env, "avx2") == 0) return Clamp(Level::kAvx2);
-  std::fprintf(stderr, "ldiv: ignoring unknown LDIV_SIMD value '%s' (want scalar|sse2|avx2)\n",
-               env);
+  std::fprintf(stderr, "ldiv: ignoring unknown LDIV_SIMD value '%s' (want scalar|avx2)\n", env);
   return DetectedLevel();
 }
 
-std::atomic<const detail::Kernels*>& ActiveTable() {
-  static std::atomic<const detail::Kernels*> table{TableFor(InitialLevel())};
-  return table;
-}
-
-std::atomic<Level>& ActiveLevelSlot() {
+// The one piece of dispatch state: LDIV_SIMD is parsed exactly once, on
+// first use, and both ActiveLevel() and the kernels read this slot.
+std::atomic<Level>& ActiveSlot() {
   static std::atomic<Level> level{InitialLevel()};
   return level;
 }
 
-const detail::Kernels& Active() { return *ActiveTable().load(std::memory_order_relaxed); }
+bool UseAvx2() { return ActiveSlot().load(std::memory_order_relaxed) == Level::kAvx2; }
 
 }  // namespace
 
-namespace detail {
-
-const Kernels kScalarKernels = {
-    FnvFoldColumnScalar,   StrideAccumulateScalar,  MinMaxGatherU32Scalar, GatherU32Scalar,
-    StabCandidatesScalar,  KlAccumulateScalar,      HilbertEncodeBlockScalar,
-};
-
-}  // namespace detail
-
-const char* LevelName(Level level) {
-  switch (level) {
-    case Level::kAvx2:
-      return "avx2";
-    case Level::kSse2:
-      return "sse2";
-    case Level::kScalar:
-      break;
-  }
-  return "scalar";
-}
+const char* LevelName(Level level) { return level == Level::kAvx2 ? "avx2" : "scalar"; }
 
 Level DetectedLevel() {
   static const Level detected = Detect();
   return detected;
 }
 
-Level ActiveLevel() { return ActiveLevelSlot().load(std::memory_order_relaxed); }
+Level ActiveLevel() { return ActiveSlot().load(std::memory_order_relaxed); }
 
-void ForceLevel(Level level) {
-  const Level clamped = Clamp(level);
-  ActiveLevelSlot().store(clamped, std::memory_order_relaxed);
-  ActiveTable().store(TableFor(clamped), std::memory_order_relaxed);
-}
-
-void FnvFoldColumn(std::uint64_t* hashes, const std::uint32_t* col, std::size_t n) {
-  Active().fnv_fold_column(hashes, col, n);
-}
-
-void StrideAccumulate(std::uint64_t* acc, const std::uint32_t* col, std::uint64_t stride,
-                      std::size_t n) {
-  Active().stride_accumulate(acc, col, stride, n);
-}
-
-void MinMaxGatherU32(const std::uint32_t* values, const std::uint32_t* idx, std::size_t n,
-                     std::uint32_t* mn, std::uint32_t* mx) {
-  Active().min_max_gather_u32(values, idx, n, mn, mx);
-}
-
-void GatherU32(const std::uint32_t* values, const std::uint32_t* idx, std::size_t n,
-               std::uint32_t* out) {
-  Active().gather_u32(values, idx, n, out);
-}
+void ForceLevel(Level level) { ActiveSlot().store(Clamp(level), std::memory_order_relaxed); }
 
 std::size_t StabCandidates(const std::uint32_t* candidates, std::size_t n,
                            const std::uint32_t* point, const std::uint32_t* const* lo,
                            const std::uint32_t* const* hi, std::size_t d, bool first_only,
                            std::uint32_t* hits) {
-  return Active().stab_candidates(candidates, n, point, lo, hi, d, first_only, hits);
-}
-
-void KlAccumulate(const double* count, const double* fstar_n, double n, std::size_t len,
-                  double acc[4]) {
-  Active().kl_accumulate(count, fstar_n, n, len, acc);
+  if (UseAvx2()) {
+    return detail::StabCandidatesAvx2(candidates, n, point, lo, hi, d, first_only, hits);
+  }
+  return detail::StabCandidatesScalar(candidates, n, point, lo, hi, d, first_only, hits);
 }
 
 void HilbertEncodeBlock(const std::uint32_t* const* cols, std::size_t d, std::uint32_t bits,
                         std::uint32_t shift, std::size_t row_begin, std::size_t count,
                         std::uint64_t* out) {
-  Active().hilbert_encode_block(cols, d, bits, shift, row_begin, count, out);
+  if (UseAvx2()) {
+    detail::HilbertEncodeBlockAvx2(cols, d, bits, shift, row_begin, count, out);
+  } else {
+    detail::HilbertEncodeBlockScalar(cols, d, bits, shift, row_begin, count, out);
+  }
 }
 
 }  // namespace simd

@@ -7,29 +7,29 @@
 namespace ldv {
 namespace simd {
 
-/// Instruction-set tiers of the kernel library. Every kernel has one
-/// implementation per tier (the SSE2 tier reuses the scalar body for the
-/// gather-heavy kernels, where 128-bit SIMD has no gather to offer); the
-/// scalar tier is the portable reference the others are tested against.
+/// Instruction-set tiers of the kernel library: the portable scalar
+/// reference and AVX2. Only the two kernels below are dispatched -- the
+/// ones whose AVX2 body measurably beats the scalar loop; every other
+/// columnar loop in the library is plain scalar code the compiler
+/// vectorizes (or not) on its own.
 enum class Level : int {
   kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
+  kAvx2 = 1,
 };
 
-/// Lower-case tier name ("scalar" / "sse2" / "avx2"), as accepted by the
-/// LDIV_SIMD environment variable and recorded in BENCH_micro.json.
+/// Lower-case tier name ("scalar" / "avx2"), as accepted by the LDIV_SIMD
+/// environment variable and recorded in BENCH_micro.json.
 const char* LevelName(Level level);
 
-/// The best tier this process can run: the highest level that is both
-/// compiled in (x86 translation units compile to empty stubs elsewhere)
-/// and reported by the CPU at startup.
+/// The best tier this process can run: AVX2 when simd_avx2.cc was built
+/// for x86 (it compiles to a stub elsewhere) and the CPU reports AVX2 at
+/// startup, scalar otherwise.
 Level DetectedLevel();
 
 /// The tier the kernels currently dispatch to: DetectedLevel() clamped by
-/// the LDIV_SIMD environment variable (scalar | sse2 | avx2; read once, at
-/// first use; values above DetectedLevel() are clamped, unknown values are
-/// ignored with a warning) and by any later ForceLevel() call.
+/// the LDIV_SIMD environment variable (scalar | avx2; read once, at first
+/// use; avx2 on a host without it is clamped to scalar, unknown values are
+/// ignored with one warning) and by any later ForceLevel() call.
 Level ActiveLevel();
 
 /// Forces dispatch to `level` (clamped to DetectedLevel()) until the next
@@ -38,35 +38,8 @@ Level ActiveLevel();
 void ForceLevel(Level level);
 
 // ---------------------------------------------------------------------------
-// Kernels. Every kernel produces byte-identical output at every tier: the
-// integer kernels are exact by nature, and KlAccumulate fixes both its
-// floating-point operation set (IEEE single-rounded div/mul/add, scalar
-// std::log, no FMA contraction -- the kernel translation units compile with
-// -ffp-contract=off) and its accumulation geometry (see below) so the bits
-// cannot depend on the lane width.
+// Kernels. Both are integer-only, so every tier produces identical output.
 // ---------------------------------------------------------------------------
-
-/// FNV-1a column fold: hashes[i] = (hashes[i] ^ col[i]) * 0x100000001b3.
-/// One call per attribute column folds per-row signature hashes without
-/// materializing rows (the multiply splits into shift-and-add form,
-/// h * prime = (h << 40) + h * 435, which 64-bit SIMD lanes can do).
-void FnvFoldColumn(std::uint64_t* hashes, const std::uint32_t* col, std::size_t n);
-
-/// Mixed-radix accumulate: acc[i] += stride * col[i]. The per-column pass
-/// of packed point-id construction (strides up to 2^64 split into 32-bit
-/// halves for the lane multiplies).
-void StrideAccumulate(std::uint64_t* acc, const std::uint32_t* col, std::uint64_t stride,
-                      std::size_t n);
-
-/// Min and max of values[idx[0..n)], n >= 1. The Mondrian min-max fallback
-/// scan (column values gathered through the node's row-id slice).
-void MinMaxGatherU32(const std::uint32_t* values, const std::uint32_t* idx, std::size_t n,
-                     std::uint32_t* mn, std::uint32_t* mx);
-
-/// out[i] = values[idx[i]]. The Mondrian SA re-gather after a partition
-/// commit and the nth_element staging copy.
-void GatherU32(const std::uint32_t* values, const std::uint32_t* idx, std::size_t n,
-               std::uint32_t* out);
 
 /// Box-containment scan of the KL stabbing loop: for each candidate group
 /// g = candidates[i] (in ascending i order), tests
@@ -82,60 +55,16 @@ std::size_t StabCandidates(const std::uint32_t* candidates, std::size_t n,
                            const std::uint32_t* const* hi, std::size_t d, bool first_only,
                            std::uint32_t* hits);
 
-/// The KL term accumulation: for i in [0, len),
-///   term_i = (count[i] / n) * log(count[i] / fstar_n[i])
-/// added into acc[i % 4]. The four virtual lanes are the fixed accumulation
-/// geometry: scalar keeps four running sums, SSE2 two 2-double registers,
-/// AVX2 one 4-double register -- the same terms land in the same lane at
-/// every tier, and the caller folds acc[0..3] in index order. Logs are
-/// taken by scalar std::log at every tier (on identical, single-rounded
-/// quotients), so the result is byte-identical across tiers.
-///
-/// Call with consecutive blocks whose lengths are multiples of 4 (except
-/// the last) so that i % 4 stays aligned with the global element index.
-void KlAccumulate(const double* count, const double* fstar_n, double n, std::size_t len,
-                  double acc[4]);
-
 /// Batch Hilbert encode (Skilling's transform + bit interleave) of rows
 /// [row_begin, row_begin + count) over d coordinate columns, each
 /// coordinate right-shifted by `shift`: out[i] is the curve index of row
 /// row_begin + i. Requires d >= 2 (d == 1 is the identity -- callers
 /// shortcut it), d * bits <= 64 and (cols[a][r] >> shift) < 2^bits. The
-/// SIMD tiers run the transform branchlessly on 64-bit row lanes;
+/// AVX2 tier runs the transform branchlessly on 64-bit row lanes;
 /// bit-exact with HilbertCurve::Encode.
 void HilbertEncodeBlock(const std::uint32_t* const* cols, std::size_t d, std::uint32_t bits,
                         std::uint32_t shift, std::size_t row_begin, std::size_t count,
                         std::uint64_t* out);
-
-namespace detail {
-
-/// Dispatch table of one tier's kernel implementations. simd.cc owns the
-/// scalar table; simd_sse2.cc / simd_avx2.cc export theirs when compiled
-/// on x86 (and a null pointer elsewhere), so dispatch degrades to scalar
-/// on other architectures without any build-system branching.
-struct Kernels {
-  void (*fnv_fold_column)(std::uint64_t*, const std::uint32_t*, std::size_t);
-  void (*stride_accumulate)(std::uint64_t*, const std::uint32_t*, std::uint64_t, std::size_t);
-  void (*min_max_gather_u32)(const std::uint32_t*, const std::uint32_t*, std::size_t,
-                             std::uint32_t*, std::uint32_t*);
-  void (*gather_u32)(const std::uint32_t*, const std::uint32_t*, std::size_t, std::uint32_t*);
-  std::size_t (*stab_candidates)(const std::uint32_t*, std::size_t, const std::uint32_t*,
-                                 const std::uint32_t* const*, const std::uint32_t* const*,
-                                 std::size_t, bool, std::uint32_t*);
-  void (*kl_accumulate)(const double*, const double*, double, std::size_t, double[4]);
-  void (*hilbert_encode_block)(const std::uint32_t* const*, std::size_t, std::uint32_t,
-                               std::uint32_t, std::size_t, std::size_t, std::uint64_t*);
-};
-
-extern const Kernels kScalarKernels;
-
-/// The SSE2 tier's table, or nullptr when not compiled in (non-x86).
-const Kernels* Sse2Kernels();
-
-/// The AVX2 tier's table, or nullptr when not compiled in.
-const Kernels* Avx2Kernels();
-
-}  // namespace detail
 
 }  // namespace simd
 }  // namespace ldv

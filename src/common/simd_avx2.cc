@@ -1,99 +1,18 @@
-// AVX2 kernel tier: 256-bit lanes (four 64-bit rows or eight 32-bit
-// candidates per step) plus hardware gathers for the index-chasing
-// kernels. This translation unit alone is compiled with -mavx2 (see
-// CMakeLists); its code only runs after the CPUID dispatch in simd.cc has
-// confirmed AVX2, so no other object file ever contains AVX2 encodings.
-//
-// Compiled with -ffp-contract=off: KlAccumulate's bit-equality across
-// tiers requires single-rounded multiplies and adds.
+// AVX2 kernel tier: 256-bit lanes (eight 32-bit candidates or four 64-bit
+// rows per step) plus hardware gathers for the stabbing scan. This
+// translation unit alone is compiled with -mavx2 (see CMakeLists); its
+// code only runs after the CPUID check in Avx2Supported() has confirmed
+// AVX2, so no other object file ever contains AVX2 encodings.
 
-#include "common/simd.h"
+#include "common/simd_internal.h"
 
 #ifdef __AVX2__
 
 #include <immintrin.h>
 
-#include <cmath>
-
 namespace ldv {
 namespace simd {
-namespace {
-
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;  // 2^40 + 435
-
-// (h ^ v) * kFnvPrime on four 64-bit lanes; same shift-and-add product
-// decomposition as the SSE2 tier, twice as wide.
-void FnvFoldColumnAvx2(std::uint64_t* hashes, const std::uint32_t* col, std::size_t n) {
-  const __m256i c435 = _mm256_set1_epi64x(435);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i vh = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(hashes + i));
-    const __m256i vc = _mm256_cvtepu32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(col + i)));
-    const __m256i t = _mm256_xor_si256(vh, vc);
-    const __m256i lo = _mm256_mul_epu32(t, c435);
-    const __m256i hi = _mm256_mul_epu32(_mm256_srli_epi64(t, 32), c435);
-    const __m256i r = _mm256_add_epi64(_mm256_slli_epi64(t, 40),
-                                       _mm256_add_epi64(lo, _mm256_slli_epi64(hi, 32)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(hashes + i), r);
-  }
-  for (; i < n; ++i) hashes[i] = (hashes[i] ^ col[i]) * kFnvPrime;
-}
-
-void StrideAccumulateAvx2(std::uint64_t* acc, const std::uint32_t* col, std::uint64_t stride,
-                          std::size_t n) {
-  const __m256i vsl = _mm256_set1_epi64x(static_cast<long long>(stride & 0xffffffffULL));
-  const __m256i vsh = _mm256_set1_epi64x(static_cast<long long>(stride >> 32));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-    const __m256i vc = _mm256_cvtepu32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(col + i)));
-    const __m256i prod = _mm256_add_epi64(_mm256_mul_epu32(vc, vsl),
-                                          _mm256_slli_epi64(_mm256_mul_epu32(vc, vsh), 32));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i), _mm256_add_epi64(va, prod));
-  }
-  for (; i < n; ++i) acc[i] += stride * col[i];
-}
-
-void MinMaxGatherU32Avx2(const std::uint32_t* values, const std::uint32_t* idx, std::size_t n,
-                         std::uint32_t* mn, std::uint32_t* mx) {
-  std::uint32_t lo = values[idx[0]], hi = lo;
-  std::size_t i = 0;
-  if (n >= 8) {
-    __m256i vlo = _mm256_set1_epi32(static_cast<int>(lo));
-    __m256i vhi = vlo;
-    for (; i + 8 <= n; i += 8) {
-      const __m256i vidx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i));
-      const __m256i v = _mm256_i32gather_epi32(reinterpret_cast<const int*>(values), vidx, 4);
-      vlo = _mm256_min_epu32(vlo, v);
-      vhi = _mm256_max_epu32(vhi, v);
-    }
-    alignas(32) std::uint32_t lanes[8];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), vlo);
-    for (int j = 0; j < 8; ++j) lo = lanes[j] < lo ? lanes[j] : lo;
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), vhi);
-    for (int j = 0; j < 8; ++j) hi = lanes[j] > hi ? lanes[j] : hi;
-  }
-  for (; i < n; ++i) {
-    const std::uint32_t v = values[idx[i]];
-    lo = v < lo ? v : lo;
-    hi = v > hi ? v : hi;
-  }
-  *mn = lo;
-  *mx = hi;
-}
-
-void GatherU32Avx2(const std::uint32_t* values, const std::uint32_t* idx, std::size_t n,
-                   std::uint32_t* out) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i vidx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i));
-    const __m256i v = _mm256_i32gather_epi32(reinterpret_cast<const int*>(values), vidx, 4);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), v);
-  }
-  for (; i < n; ++i) out[i] = values[idx[i]];
-}
+namespace detail {
 
 // Eight candidates per step: the per-attribute lo/hi bounds come in
 // through hardware gathers over the SoA bound arrays, the containment
@@ -128,53 +47,16 @@ std::size_t StabCandidatesAvx2(const std::uint32_t* candidates, std::size_t n,
       m &= m - 1;
     }
   }
-  for (; i < n; ++i) {
-    const std::uint32_t g = candidates[i];
-    bool inside = true;
-    for (std::size_t a = 1; a < d; ++a) {
-      const std::uint32_t v = point[a];
-      if (v < lo[a][g] || v >= hi[a][g]) {
-        inside = false;
-        break;
-      }
-    }
-    if (inside) {
-      hits[count++] = g;
-      if (first_only) break;
-    }
-  }
-  return count;
+  return count + StabCandidatesScalar(candidates + i, n - i, point, lo, hi, d, first_only,
+                                      hits + count);
 }
 
-// One 4-double register is exactly the four virtual lanes of the KL
-// accumulation geometry; logs still go through scalar std::log on the
-// single-rounded quotients, so every tier adds the identical term
-// sequence into the identical lane.
-void KlAccumulateAvx2(const double* count, const double* fstar_n, double n, std::size_t len,
-                      double acc[4]) {
-  __m256d vacc = _mm256_loadu_pd(acc);
-  const __m256d vn = _mm256_set1_pd(n);
-  alignas(32) double ratio[4], lg[4];
-  std::size_t i = 0;
-  for (; i + 4 <= len; i += 4) {
-    const __m256d c = _mm256_loadu_pd(count + i);
-    _mm256_store_pd(ratio, _mm256_div_pd(c, _mm256_loadu_pd(fstar_n + i)));
-    lg[0] = std::log(ratio[0]);
-    lg[1] = std::log(ratio[1]);
-    lg[2] = std::log(ratio[2]);
-    lg[3] = std::log(ratio[3]);
-    vacc = _mm256_add_pd(vacc, _mm256_mul_pd(_mm256_div_pd(c, vn), _mm256_load_pd(lg)));
-  }
-  _mm256_storeu_pd(acc, vacc);
-  for (; i < len; ++i) {
-    const double r = count[i] / fstar_n[i];
-    const double l = std::log(r);
-    acc[i & 3] += (count[i] / n) * l;
-  }
-}
-
-// Four rows per step on 64-bit lanes; same branchless mask form as the
-// SSE2 tier (see simd_sse2.cc for the derivation).
+// Four rows per step on 64-bit lanes. The data-dependent branch of
+// Skilling's walk ("if the q bit of x[i] is set") becomes a full-lane mask
+// built from that bit: sel = 0 - ((x[i] >> log2 q) & 1), then
+//   x[0] ^= (sel & p) | (~sel & t),   x[i] ^= ~sel & t
+// which reproduces both branch arms at once (for i == 0, t is zero and
+// only the sel & p term fires, exactly like the scalar code).
 void HilbertEncodeBlockAvx2(const std::uint32_t* const* cols, std::size_t d, std::uint32_t bits,
                             std::uint32_t shift, std::size_t row_begin, std::size_t count,
                             std::uint64_t* out) {
@@ -222,22 +104,11 @@ void HilbertEncodeBlockAvx2(const std::uint32_t* const* cols, std::size_t d, std
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + r), index);
   }
   if (r < count) {
-    detail::kScalarKernels.hilbert_encode_block(cols, d, bits, shift, row_begin + r, count - r,
-                                                out + r);
+    HilbertEncodeBlockScalar(cols, d, bits, shift, row_begin + r, count - r, out + r);
   }
 }
 
-}  // namespace
-
-namespace detail {
-
-const Kernels* Avx2Kernels() {
-  static const Kernels table = {
-      FnvFoldColumnAvx2,  StrideAccumulateAvx2, MinMaxGatherU32Avx2, GatherU32Avx2,
-      StabCandidatesAvx2, KlAccumulateAvx2,     HilbertEncodeBlockAvx2,
-  };
-  return &table;
-}
+bool Avx2Supported() { return __builtin_cpu_supports("avx2"); }
 
 }  // namespace detail
 }  // namespace simd
@@ -245,11 +116,26 @@ const Kernels* Avx2Kernels() {
 
 #else  // !__AVX2__
 
+// Not built for x86: no AVX2 tier. Avx2Supported() is false, so dispatch
+// never reaches these forwarding stubs.
 namespace ldv {
 namespace simd {
 namespace detail {
 
-const Kernels* Avx2Kernels() { return nullptr; }
+std::size_t StabCandidatesAvx2(const std::uint32_t* candidates, std::size_t n,
+                               const std::uint32_t* point, const std::uint32_t* const* lo,
+                               const std::uint32_t* const* hi, std::size_t d, bool first_only,
+                               std::uint32_t* hits) {
+  return StabCandidatesScalar(candidates, n, point, lo, hi, d, first_only, hits);
+}
+
+void HilbertEncodeBlockAvx2(const std::uint32_t* const* cols, std::size_t d, std::uint32_t bits,
+                            std::uint32_t shift, std::size_t row_begin, std::size_t count,
+                            std::uint64_t* out) {
+  HilbertEncodeBlockScalar(cols, d, bits, shift, row_begin, count, out);
+}
+
+bool Avx2Supported() { return false; }
 
 }  // namespace detail
 }  // namespace simd

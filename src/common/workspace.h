@@ -88,17 +88,12 @@ class Workspace {
   /// A recycled 64-bit buffer (Hilbert codes, hashes, packed ids...).
   ScratchVec<std::uint64_t> U64() { return ScratchVec<std::uint64_t>(&u64_); }
 
-  /// A recycled double buffer (KL term staging, per-group weights...).
-  ScratchVec<double> F64() { return ScratchVec<double>(&f64_); }
-
   BufferPool<std::uint32_t>& u32_pool() { return u32_; }
   BufferPool<std::uint64_t>& u64_pool() { return u64_; }
-  BufferPool<double>& f64_pool() { return f64_; }
 
  private:
   BufferPool<std::uint32_t> u32_;
   BufferPool<std::uint64_t> u64_;
-  BufferPool<double> f64_;
 };
 
 }  // namespace ldv

@@ -32,8 +32,8 @@ class HilbertCurve {
   /// Encode for a block of rows in columnar form: row r of the block takes
   /// coordinate cols[i][row_begin + r] >> shift on axis i, and its curve
   /// position lands in out[r]. Bit-exact with Encode on every row, but
-  /// runs on the SIMD kernels (several rows walk the curve per step), so
-  /// the bulk per-row paths should prefer it. Shifted coordinates must be
+  /// runs on simd::HilbertEncodeBlock (four rows walk the curve per step
+  /// at the AVX2 tier), so the bulk per-row paths should prefer it. Shifted coordinates must be
   /// below 2^bits_per_dimension.
   void EncodeBlock(const std::uint32_t* const* cols, std::uint32_t shift,
                    std::size_t row_begin, std::size_t count, std::uint64_t* out) const;

@@ -46,18 +46,23 @@ class PointPacker {
     std::uint64_t* out = keys.data();
     ParallelFor(n, 16384, ws, [&](std::size_t begin, std::size_t end, Workspace&) {
       for (std::size_t a = 0; a < strides_.size(); ++a) {
-        const Value* col = table.column(static_cast<AttrId>(a)).data();
-        simd::StrideAccumulate(out + begin, col + begin, strides_[a], end - begin);
+        StrideAccumulate(out, table.column(static_cast<AttrId>(a)).data(), strides_[a], begin,
+                         end);
       }
-      if (include_sa) {
-        simd::StrideAccumulate(out + begin, table.sa_column().data() + begin, sa_stride_,
-                               end - begin);
-      }
+      if (include_sa) StrideAccumulate(out, table.sa_column().data(), sa_stride_, begin, end);
     });
     return keys;
   }
 
  private:
+  // out[i] += stride * col[i] over [begin, end): one column's mixed-radix
+  // term (the stride is a local so the loop does not reload it through
+  // the possibly-aliasing output pointer).
+  static void StrideAccumulate(std::uint64_t* out, const std::uint32_t* col,
+                               std::uint64_t stride, std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) out[i] += stride * col[i];
+  }
+
   static void Grow(std::uint64_t* stride, std::uint64_t radix) {
     LDIV_CHECK_LT(*stride, std::numeric_limits<std::uint64_t>::max() / (radix + 1))
         << "point id space exceeds 64 bits";
@@ -103,85 +108,15 @@ std::vector<PointCount> DistinctPoints(const Table& table, const PointPacker& pa
 // grain alone, never of the thread count. The two estimators tune
 // differently (bench_micro on SAL-7 100k, ~95k distinct points): a
 // suppression point costs a handful of flat-map probes, so small chunks
-// just add sink churn (grain 1024 measured 8.65 ms vs 8.13 ms at 4096);
-// a multi-dim point costs hundreds of box probes, so smaller chunks help
-// the parallel split (56.6 ms at 1024 vs 57.6 ms at 4096). Overridable
-// per call through KlTuning::point_grain.
+// just add per-chunk overhead (grain 1024 measured 8.65 ms vs 8.13 ms at
+// 4096); a multi-dim point costs hundreds of box probes, so smaller chunks
+// help the parallel split (56.6 ms at 1024 vs 57.6 ms at 4096).
 constexpr std::size_t kKlSuppressionPointGrain = 4096;
 constexpr std::size_t kKlMultiDimPointGrain = 1024;
 
-// Rows per staged KL-accumulation block: (count, n*f*) pairs are staged in
-// blocks of this many terms, then folded through simd::KlAccumulate.
-// Must be a multiple of 4 so the kernel's virtual-lane assignment (term i
-// -> lane i mod 4) never depends on where the blocks break -- the block
-// size is then a pure performance knob. The bench_micro kl_block sweep on
-// SAL-7 100k (kl_multidim_columnar workload) measured 1024/4096/16384 rows
-// at 58.6/59.5/57.6 ms per estimate on a quiet machine -- within run-to-run
-// noise of each other, since the stabbing probes dominate the staged fold.
-// 1024 is kept as the default because its 16 KiB of staging is the smallest
-// footprint that still amortizes the kernel-call overhead, leaving the most
-// cache to the probe-heavy remainder on hosts with less L2 than this one.
-constexpr std::size_t kKlBlockRows = 1024;
-
-std::size_t ResolvePointGrain(const KlTuning& tuning, std::size_t fallback) {
-  return tuning.point_grain != 0 ? tuning.point_grain : fallback;
-}
-
-std::size_t ResolveBlockRows(const KlTuning& tuning) {
-  const std::size_t rows = tuning.block_rows != 0 ? tuning.block_rows : kKlBlockRows;
-  return (rows + 3) & ~std::size_t{3};  // multiple of 4, minimum 4
-}
-
-// Per-chunk sink for KL terms: stages (count, n*f*) pairs in fixed-size
-// blocks and folds full blocks through the SIMD p*log(p/q) kernel into
-// four virtual-lane accumulators. Every block except the final partial
-// one has block_rows terms (a multiple of 4), so term i always lands in
-// lane i mod 4 of this chunk and the folded result is bit-identical at
-// every SIMD level.
-class KlTermSink {
- public:
-  KlTermSink(double n, std::size_t block_rows, Workspace& ws)
-      : n_(n),
-        block_rows_(block_rows),
-        counts_s_(ws.F64()),
-        fstars_s_(ws.F64()),
-        counts_(*counts_s_),
-        fstars_(*fstars_s_) {
-    counts_.resize(block_rows_);
-    fstars_.resize(block_rows_);
-  }
-
-  void Add(double count, double fstar_n) {
-    counts_[fill_] = count;
-    fstars_[fill_] = fstar_n;
-    if (++fill_ == block_rows_) Flush();
-  }
-
-  /// The chunk's partial sum: lanes folded in fixed order.
-  double Finish() {
-    Flush();
-    return ((acc_[0] + acc_[1]) + acc_[2]) + acc_[3];
-  }
-
- private:
-  void Flush() {
-    simd::KlAccumulate(counts_.data(), fstars_.data(), n_, fill_, acc_);
-    fill_ = 0;
-  }
-
-  const double n_;
-  const std::size_t block_rows_;
-  ScratchVec<double> counts_s_, fstars_s_;
-  std::vector<double>& counts_;
-  std::vector<double>& fstars_;
-  std::size_t fill_ = 0;
-  double acc_[4] = {0.0, 0.0, 0.0, 0.0};
-};
-
 }  // namespace
 
-double KlDivergenceSuppression(const Table& table, const GeneralizedTable& generalized,
-                               const KlTuning& tuning) {
+double KlDivergenceSuppression(const Table& table, const GeneralizedTable& generalized) {
   if (table.empty()) return 0.0;
   const Schema& schema = table.schema();
   const std::size_t d = table.qi_count();
@@ -254,18 +189,12 @@ double KlDivergenceSuppression(const Table& table, const GeneralizedTable& gener
 
   // Per-point probes only read the bucket maps, so the distinct points
   // fan out in fixed chunks with one partial sum each, folded in chunk
-  // order. The p*log(p/q) fold stays inline here instead of staging
-  // through KlTermSink: a suppression point costs only a handful of
-  // flat-map probes, and bench_micro measured the sink's staging pass at
-  // ~9 ns/point -- lost out-of-order overlap with the probe loads -- a
-  // 21% regression on kl_suppression/10k (527 us inline vs 614 us
-  // staged). The multi-dim estimator below, whose points are two orders
-  // of magnitude heavier, is where the staged SIMD fold pays.
+  // order. The p*log(p/q) fold is inline, one running sum per chunk.
   Workspace ws;
   PointPacker packer(schema);
   const std::vector<PointCount> points = DistinctPoints(table, packer, ws);
   return ParallelReduce(
-      points.size(), ResolvePointGrain(tuning, kKlSuppressionPointGrain), ws, 0.0,
+      points.size(), kKlSuppressionPointGrain, ws, 0.0,
       [&](std::size_t begin, std::size_t end, Workspace&) {
         double partial = 0.0;
         for (std::size_t p = begin; p < end; ++p) {
@@ -297,8 +226,7 @@ double KlDivergenceSuppression(const Table& table, const GeneralizedTable& gener
       std::plus<double>());
 }
 
-double KlDivergenceMultiDim(const Table& table, const BoxGeneralization& gen,
-                            const KlTuning& tuning) {
+double KlDivergenceMultiDim(const Table& table, const BoxGeneralization& gen) {
   if (table.empty()) return 0.0;
   const double n = static_cast<double>(table.size());
   const std::size_t m = table.schema().sa_domain_size();
@@ -381,12 +309,14 @@ double KlDivergenceMultiDim(const Table& table, const BoxGeneralization& gen,
   // folded in chunk order. Attribute 0 is pre-filtered by the candidate
   // index; the remaining attributes run through the SIMD stabbing kernel
   // (several candidates' bounds gathered and compared per step; for a
-  // tiling the kernel stops at the first hit).
+  // tiling the kernel stops at the first hit). Within a chunk, term k of
+  // the p*log(p/q) fold lands in accumulator k mod 4 and the four fold in
+  // index order -- the recorded KL bits depend on this geometry, so keep
+  // it (this file builds with -ffp-contract=off for the same reason).
   PointPacker packer(table.schema());
   const std::vector<PointCount> points = DistinctPoints(table, packer, ws);
-  const std::size_t block_rows = ResolveBlockRows(tuning);
   return ParallelReduce(
-      points.size(), ResolvePointGrain(tuning, kKlMultiDimPointGrain), ws, 0.0,
+      points.size(), kKlMultiDimPointGrain, ws, 0.0,
       [&](std::size_t begin, std::size_t end, Workspace& cws) {
         auto hits_s = cws.U32();
         std::vector<std::uint32_t>& hits = *hits_s;
@@ -394,7 +324,7 @@ double KlDivergenceMultiDim(const Table& table, const BoxGeneralization& gen,
         auto point_s = cws.U32();
         std::vector<std::uint32_t>& point = *point_s;
         point.resize(d);
-        KlTermSink sink(n, block_rows, cws);
+        double acc[4] = {0.0, 0.0, 0.0, 0.0};
         for (std::size_t p = begin; p < end; ++p) {
           const PointCount& pc = points[p];
           const RowId rep = pc.representative;
@@ -407,9 +337,10 @@ double KlDivergenceMultiDim(const Table& table, const BoxGeneralization& gen,
           double fstar_n = 0.0;
           for (std::size_t k = 0; k < hit_count; ++k) fstar_n += mass[hits[k] * m + sa];
           LDIV_CHECK_GT(fstar_n, 0.0) << "every point lies in its own group's box";
-          sink.Add(static_cast<double>(pc.count), fstar_n);
+          const double count = static_cast<double>(pc.count);
+          acc[(p - begin) & 3] += (count / n) * std::log(count / fstar_n);
         }
-        return sink.Finish();
+        return ((acc[0] + acc[1]) + acc[2]) + acc[3];
       },
       std::plus<double>());
 }

@@ -10,7 +10,6 @@
 #include "common/check.h"
 #include "common/memory_budget.h"
 #include "common/parallel.h"
-#include "common/simd.h"
 #include "common/workspace.h"
 
 namespace ldv {
@@ -184,8 +183,15 @@ class MondrianWalker {
       }
     } else {
       for (AttrId a = 0; a < d; ++a) {
-        simd::MinMaxGatherU32(s_.cols[a], rows_.data() + begin, end - begin, &mins_[a],
-                              &maxs_[a]);
+        const Value* col = s_.cols[a];
+        Value mn = col[rows_[begin]], mx = mn;
+        for (std::size_t i = begin + 1; i < end; ++i) {
+          const Value v = col[rows_[i]];
+          mn = std::min(mn, v);
+          mx = std::max(mx, v);
+        }
+        mins_[a] = mn;
+        maxs_[a] = mx;
       }
     }
 
@@ -246,8 +252,8 @@ class MondrianWalker {
         }
       }
       std::copy(scratch_.begin(), scratch_.end(), rows_.begin() + write);
-      simd::GatherU32(s_.table.sa_column().data(), rows_.data() + begin, end - begin,
-                      sa_.data() + begin);
+      const SaValue* sa_col = s_.table.sa_column().data();
+      for (std::size_t i = begin; i < end; ++i) sa_[i] = sa_col[rows_[i]];
 
       *out_attr = attr;
       *out_split = split;
@@ -270,8 +276,9 @@ class MondrianWalker {
     if (use_hist) {
       median = medians_[attr];
     } else {
+      const Value* col = s_.cols[attr];
       values_.resize(end - begin);
-      simd::GatherU32(s_.cols[attr], rows_.data() + begin, end - begin, values_.data());
+      for (std::size_t i = begin; i < end; ++i) values_[i - begin] = col[rows_[i]];
       const std::size_t k = values_.size() / 2;
       std::nth_element(values_.begin(), values_.begin() + k, values_.end());
       median = values_[k];

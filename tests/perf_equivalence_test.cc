@@ -491,8 +491,8 @@ class SimdEquivalence : public ::testing::Test {
 };
 
 TEST_F(SimdEquivalence, OutcomesAreBitIdenticalAcrossSimdLevelsAndThreads) {
-  // The full {scalar, sse2, avx2} x {1, 2, 4}-thread matrix (levels above
-  // DetectedLevel() are skipped on hosts that lack them). The scalar
+  // The full {scalar, avx2} x {1, 2, 4}-thread matrix (avx2 is skipped on
+  // hosts that lack it). The scalar
   // 1-thread corner is the reference; every other cell must reproduce its
   // releases and KL doubles bit-for-bit -- the determinism contract of the
   // SIMD layer, not just of the thread scheduler.
@@ -509,7 +509,7 @@ TEST_F(SimdEquivalence, OutcomesAreBitIdenticalAcrossSimdLevelsAndThreads) {
   Workspace ref_ws;
   GroupedTable grouped_ref(t, &ref_ws);
 
-  for (simd::Level level : {simd::Level::kScalar, simd::Level::kSse2, simd::Level::kAvx2}) {
+  for (simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2}) {
     if (level > simd::DetectedLevel()) continue;
     simd::ForceLevel(level);
     ASSERT_EQ(simd::ActiveLevel(), level);

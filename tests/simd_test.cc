@@ -1,16 +1,16 @@
-// Tests of the SIMD kernel layer (src/common/simd.h): every kernel, at
-// every compiled-in tier the host can run, cross-checked against the
-// scalar reference on randomized inputs -- including unaligned tails
-// (lengths that are not lane multiples and pointers offset off alignment),
-// n smaller than one lane, and n == 0. The KL kernel is additionally
-// checked for BIT-identical output across tiers, which is the determinism
-// guarantee the estimators rely on.
+// Tests of the SIMD kernel layer (src/common/simd.h): both kernels, at
+// every tier the host can run, cross-checked against the scalar reference
+// on randomized inputs -- including unaligned tails (lengths that are not
+// lane multiples and pointers offset off alignment), n smaller than one
+// lane, and n == 0.
 
 #include "common/simd.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
-#include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -25,8 +25,7 @@ using simd::Level;
 // The tiers the host can actually run, scalar first.
 std::vector<Level> RunnableLevels() {
   std::vector<Level> levels = {Level::kScalar};
-  if (simd::DetectedLevel() >= Level::kSse2) levels.push_back(Level::kSse2);
-  if (simd::DetectedLevel() >= Level::kAvx2) levels.push_back(Level::kAvx2);
+  if (simd::DetectedLevel() == Level::kAvx2) levels.push_back(Level::kAvx2);
   return levels;
 }
 
@@ -41,12 +40,12 @@ class LevelGuard {
 };
 
 // The lengths every kernel is exercised at: empty, below one lane, exactly
-// one SSE2/AVX2 lane, lane multiples, and off-multiple tails.
+// one AVX2 lane (four rows or eight candidates), lane multiples, and
+// off-multiple tails.
 const std::size_t kLengths[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 64, 65, 1000, 1023};
 
 TEST(SimdDispatch, LevelNamesRoundTrip) {
   EXPECT_STREQ(simd::LevelName(Level::kScalar), "scalar");
-  EXPECT_STREQ(simd::LevelName(Level::kSse2), "sse2");
   EXPECT_STREQ(simd::LevelName(Level::kAvx2), "avx2");
 }
 
@@ -58,93 +57,38 @@ TEST(SimdDispatch, ForceLevelClampsToDetected) {
   EXPECT_EQ(simd::ActiveLevel(), Level::kScalar);
 }
 
-TEST(SimdKernels, FnvFoldColumnMatchesScalar) {
-  LevelGuard guard;
-  Rng rng(11);
-  for (std::size_t n : kLengths) {
-    // +1 slack so the kernel can also run from an odd (unaligned) offset.
-    std::vector<std::uint64_t> seed(n + 1);
-    std::vector<std::uint32_t> col(n + 1);
-    for (auto& h : seed) h = rng.Next64();
-    for (auto& v : col) v = rng.Next32();
-    for (std::size_t off : {std::size_t{0}, std::size_t{1}}) {
-      std::vector<std::uint64_t> want(seed.begin() + off, seed.end());
-      simd::ForceLevel(Level::kScalar);
-      simd::FnvFoldColumn(want.data(), col.data() + off, n);
-      for (Level level : RunnableLevels()) {
-        std::vector<std::uint64_t> got(seed.begin() + off, seed.end());
-        simd::ForceLevel(level);
-        simd::FnvFoldColumn(got.data(), col.data() + off, n);
-        EXPECT_EQ(got, want) << simd::LevelName(level) << " n=" << n << " off=" << off;
-      }
+// Runs a kernel and reads ActiveLevel() with LDIV_SIMD=sse2 in a process
+// whose dispatch statics are still untouched, and returns how many
+// unknown-value warnings that printed to stderr.
+int CountSimdEnvWarnings() {
+  std::FILE* log = std::tmpfile();
+  if (log == nullptr || dup2(fileno(log), STDERR_FILENO) < 0) return -1;
+  setenv("LDIV_SIMD", "sse2", 1);
+  const std::uint32_t col[4] = {1, 2, 3, 4};
+  const std::uint32_t* cols[2] = {col, col};
+  std::uint64_t out[4];
+  simd::HilbertEncodeBlock(cols, 2, 3, 0, 0, 4, out);
+  (void)simd::ActiveLevel();
+  std::fflush(stderr);
+  std::rewind(log);
+  char line[256];
+  int warnings = 0;
+  while (std::fgets(line, sizeof line, log) != nullptr) {
+    if (std::strstr(line, "ignoring unknown LDIV_SIMD value 'sse2' (want scalar|avx2)")) {
+      ++warnings;
     }
   }
+  return warnings;
 }
 
-TEST(SimdKernels, StrideAccumulateMatchesScalar) {
-  LevelGuard guard;
-  Rng rng(12);
-  const std::uint64_t strides[] = {1, 79, 158u * 79, 0x123456789abcULL,
-                                   0xfedcba9876543210ULL};
-  for (std::size_t n : kLengths) {
-    std::vector<std::uint64_t> seed(n + 1);
-    std::vector<std::uint32_t> col(n + 1);
-    for (auto& a : seed) a = rng.Next64();
-    for (auto& v : col) v = rng.Next32();
-    for (std::uint64_t stride : strides) {
-      std::vector<std::uint64_t> want(seed.begin() + 1, seed.end());
-      simd::ForceLevel(Level::kScalar);
-      simd::StrideAccumulate(want.data(), col.data() + 1, stride, n);
-      for (Level level : RunnableLevels()) {
-        std::vector<std::uint64_t> got(seed.begin() + 1, seed.end());
-        simd::ForceLevel(level);
-        simd::StrideAccumulate(got.data(), col.data() + 1, stride, n);
-        EXPECT_EQ(got, want) << simd::LevelName(level) << " n=" << n << " stride=" << stride;
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, MinMaxGatherMatchesScalar) {
-  LevelGuard guard;
-  Rng rng(13);
-  std::vector<std::uint32_t> values(4096);
-  for (auto& v : values) v = rng.Next32();
-  for (std::size_t n : kLengths) {
-    if (n == 0) continue;  // the kernel requires n >= 1
-    std::vector<std::uint32_t> idx(n + 1);
-    for (auto& i : idx) i = rng.Below(static_cast<std::uint32_t>(values.size()));
-    std::uint32_t want_mn = 0, want_mx = 0;
-    simd::ForceLevel(Level::kScalar);
-    simd::MinMaxGatherU32(values.data(), idx.data() + 1, n, &want_mn, &want_mx);
-    for (Level level : RunnableLevels()) {
-      std::uint32_t mn = 0, mx = 0;
-      simd::ForceLevel(level);
-      simd::MinMaxGatherU32(values.data(), idx.data() + 1, n, &mn, &mx);
-      EXPECT_EQ(mn, want_mn) << simd::LevelName(level) << " n=" << n;
-      EXPECT_EQ(mx, want_mx) << simd::LevelName(level) << " n=" << n;
-    }
-  }
-}
-
-TEST(SimdKernels, GatherMatchesScalar) {
-  LevelGuard guard;
-  Rng rng(14);
-  std::vector<std::uint32_t> values(4096);
-  for (auto& v : values) v = rng.Next32();
-  for (std::size_t n : kLengths) {
-    std::vector<std::uint32_t> idx(n + 1);
-    for (auto& i : idx) i = rng.Below(static_cast<std::uint32_t>(values.size()));
-    std::vector<std::uint32_t> want(n);
-    simd::ForceLevel(Level::kScalar);
-    simd::GatherU32(values.data(), idx.data() + 1, n, want.data());
-    for (Level level : RunnableLevels()) {
-      std::vector<std::uint32_t> got(n);
-      simd::ForceLevel(level);
-      simd::GatherU32(values.data(), idx.data() + 1, n, got.data());
-      EXPECT_EQ(got, want) << simd::LevelName(level) << " n=" << n;
-    }
-  }
+// LDIV_SIMD is parsed once per process: a process that runs a kernel and
+// also reads ActiveLevel() warns about an unknown value exactly once, and
+// "sse2" is no longer a tier. The check runs in a re-executed child
+// ("threadsafe" death-test style) so the dispatch statics start fresh; the
+// child's exit code is the warning count.
+TEST(SimdDispatchDeathTest, UnknownEnvValueWarnsOnce) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(std::_Exit(CountSimdEnvWarnings()), ::testing::ExitedWithCode(1), "");
 }
 
 TEST(SimdKernels, StabCandidatesMatchesScalar) {
@@ -186,59 +130,6 @@ TEST(SimdKernels, StabCandidatesMatchesScalar) {
         for (std::size_t k = 0; k < want_n; ++k) {
           EXPECT_EQ(got[k], want[k]) << simd::LevelName(level) << " hit " << k;
         }
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, KlAccumulateBitIdenticalAcrossTiers) {
-  LevelGuard guard;
-  Rng rng(16);
-  const double n_rows = 100000.0;
-  for (std::size_t n : kLengths) {
-    std::vector<double> count(n + 1), fstar(n + 1);
-    for (auto& c : count) c = 1.0 + rng.Below(1000);
-    for (auto& f : fstar) f = (1.0 + rng.Below(100000)) / 256.0;
-    double want[4] = {0.125, -3.5, 7.25, 0.0};  // nonzero seeds must carry through
-    simd::ForceLevel(Level::kScalar);
-    simd::KlAccumulate(count.data() + 1, fstar.data() + 1, n_rows, n, want);
-    for (Level level : RunnableLevels()) {
-      double acc[4] = {0.125, -3.5, 7.25, 0.0};
-      simd::ForceLevel(level);
-      simd::KlAccumulate(count.data() + 1, fstar.data() + 1, n_rows, n, acc);
-      for (int j = 0; j < 4; ++j) {
-        // Bit equality, not approximate equality: the determinism contract.
-        EXPECT_EQ(std::memcmp(&acc[j], &want[j], sizeof(double)), 0)
-            << simd::LevelName(level) << " n=" << n << " lane " << j << " got " << acc[j]
-            << " want " << want[j];
-      }
-    }
-  }
-}
-
-// Split accumulation (consecutive blocks with multiple-of-4 lengths) must
-// equal one whole-range call: the estimators feed the kernel in cache
-// blocks, and the block size must not leak into the result.
-TEST(SimdKernels, KlAccumulateBlockSizeInvariant) {
-  LevelGuard guard;
-  Rng rng(17);
-  const std::size_t n = 1000;
-  std::vector<double> count(n), fstar(n);
-  for (auto& c : count) c = 1.0 + rng.Below(1000);
-  for (auto& f : fstar) f = (1.0 + rng.Below(100000)) / 256.0;
-  for (Level level : RunnableLevels()) {
-    simd::ForceLevel(level);
-    double whole[4] = {0, 0, 0, 0};
-    simd::KlAccumulate(count.data(), fstar.data(), 1000.0, n, whole);
-    for (std::size_t block : {4u, 64u, 256u}) {
-      double split[4] = {0, 0, 0, 0};
-      for (std::size_t b = 0; b < n; b += block) {
-        simd::KlAccumulate(count.data() + b, fstar.data() + b, 1000.0,
-                           b + block < n ? block : n - b, split);
-      }
-      for (int j = 0; j < 4; ++j) {
-        EXPECT_EQ(std::memcmp(&split[j], &whole[j], sizeof(double)), 0)
-            << simd::LevelName(level) << " block=" << block << " lane " << j;
       }
     }
   }
