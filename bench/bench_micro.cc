@@ -276,7 +276,7 @@ BENCHMARK(BM_KlMultiDimColumnar)->Name("kl_multidim_columnar")->Arg(10000)->Arg(
 //
 // The paged data plane under its default (unbudgeted) sizing: streamed
 // synthetic ingestion through the PagedTableBuilder (chunked generation,
-// page staging, spill-file writes, SIMD domain validation, then the mmap
+// page staging, spill-file writes, domain validation, then the mmap
 // seal) and the chunked GroupedTable build with a sort buffer small
 // enough that both cardinalities spill runs and k-way merge. Both paths
 // are byte-identical to their in-RAM twins (paged_equivalence_test), so

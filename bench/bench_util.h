@@ -120,9 +120,9 @@ struct BenchFields {
   /// Thread budget the benchmark ran under (1 = the sequential series).
   std::uint32_t threads = 0;
   /// SIMD dispatch level the benchmark ran at ("scalar" or "avx2");
-  /// empty = not recorded. Recorded on the series whose kernels
-  /// route through the SIMD layer, so trajectory diffs can tell a code
-  /// regression from a host with a different vector ISA.
+  /// empty = not recorded. Recorded on the hot-path series, so
+  /// trajectory diffs can tell a code regression from a host with a
+  /// different vector ISA.
   std::string simd;
 };
 
