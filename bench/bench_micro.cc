@@ -28,7 +28,7 @@
 #include "data/acs_generator.h"
 #include "data/acs_schema.h"
 #include "data/dataset.h"
-#include "engine/artifact_cache.h"
+#include "engine/content_cache.h"
 #include "engine/engine.h"
 #include "engine/job_spec.h"
 #include "hilbert/hilbert_curve.h"

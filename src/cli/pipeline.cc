@@ -9,7 +9,7 @@ Engine& GlobalEngine() {
   return *engine;
 }
 
-Expected<PipelineResult, PipelineError> RunPipeline(const CliOptions& options) {
+Expected<JobResult, PipelineError> RunPipeline(const CliOptions& options) {
   return GlobalEngine().Run(ToJobSpec(options));
 }
 

@@ -11,11 +11,7 @@ namespace ldv {
 /// The CLI pipeline is a thin adapter over the engine since the ldivd
 /// redesign: CliOptions normalize into a JobSpec (ToJobSpec) and run
 /// through the shared Engine, so the one-shot CLI and the daemon execute
-/// byte-identical code paths. The old names remain as aliases for callers
-/// that grew up against the pipeline API.
-using PipelineTable = EngineTable;
-using PipelineJobResult = EngineJob;
-using PipelineResult = JobResult;
+/// byte-identical code paths.
 
 /// The process-wide engine the CLI adapters share: one DatasetCache, one
 /// run lock. The daemon constructs its own Engine instead.
@@ -27,7 +23,7 @@ Engine& GlobalEngine();
 /// single job, through AnonymizeBatch for a grid (or when options.sweep
 /// forces it). Load/generation failures return a typed PipelineError;
 /// infeasible jobs are not an error (reported with feasible = false).
-Expected<PipelineResult, PipelineError> RunPipeline(const CliOptions& options);
+Expected<JobResult, PipelineError> RunPipeline(const CliOptions& options);
 
 }  // namespace ldv
 

@@ -20,15 +20,6 @@ constexpr std::size_t kRecordBytes = sizeof(SortRecord);
 
 }  // namespace
 
-std::unique_ptr<ExternalSorter> ExternalSorter::Create(const Options& options,
-                                                       std::string* error) {
-  std::unique_ptr<SpillFile> file = SpillFile::Create(error);
-  if (file == nullptr) return nullptr;
-  std::unique_ptr<ExternalSorter> sorter(new ExternalSorter(options));
-  sorter->file_ = std::move(file);
-  return sorter;
-}
-
 ExternalSorter::ExternalSorter(const Options& options) : options_(options) {
   LDIV_CHECK_GT(options_.buffer_records, 0u);
   LDIV_CHECK_GT(options_.merge_buffer_records, 0u);
@@ -41,9 +32,11 @@ ExternalSorter::~ExternalSorter() = default;
 
 void ExternalSorter::Add(const SortRecord& record) {
   LDIV_CHECK(!finished_) << "Add after Finish";
+  // Spill a full buffer only once another record arrives, so input that
+  // exactly fills one buffer still takes the in-RAM fast path.
+  if (buffer_.size() == options_.buffer_records) SpillRun();
   buffer_.push_back(record);
   ++record_count_;
-  if (buffer_.size() == options_.buffer_records) SpillRun();
 }
 
 void ExternalSorter::SortBuffer() {
@@ -74,6 +67,14 @@ void ExternalSorter::SpillRun() {
     throw IoFailure(failpoint::Describe(failpoint::Site::kExtSortSpill, injection,
                                         "external sort run spill failed"));
   }
+  if (file_ == nullptr) {
+    // Created on the first spill, so a sort that fits its buffer never
+    // touches disk. Losing temp space mid-sort is recoverable: the engine
+    // boundary turns the throw into a typed I/O error, never an abort.
+    std::string error;
+    file_ = SpillFile::Create(&error);
+    if (file_ == nullptr) throw IoFailure("external sort unavailable: " + error);
+  }
   const std::uint64_t bytes = buffer_.size() * kRecordBytes;
   const std::uint64_t offset = file_->Allocate(bytes);
   file_->Write(offset, buffer_.data(), static_cast<std::size_t>(bytes));
@@ -81,11 +82,22 @@ void ExternalSorter::SpillRun() {
   buffer_.clear();
 }
 
+auto ExternalSorter::HeapGreater() const {
+  return [this](std::uint32_t a, std::uint32_t b) {
+    const MergeSource& sa = sources_[a];
+    const MergeSource& sb = sources_[b];
+    const SortRecord& ra = sa.buffer[sa.buffer_pos];
+    const SortRecord& rb = sb.buffer[sb.buffer_pos];
+    if (!(ra == rb)) return rb < ra;
+    return sa.run > sb.run;  // deterministic tie-break on identical records
+  };
+}
+
 void ExternalSorter::Finish() {
   LDIV_CHECK(!finished_) << "double Finish";
   finished_ = true;
   if (runs_.empty()) {
-    // In-RAM fast path: everything fit in one buffer; no spill I/O.
+    // In-RAM fast path: everything fit in one buffer; no spill file.
     SortBuffer();
     return;
   }
@@ -96,20 +108,12 @@ void ExternalSorter::Finish() {
   sources_.resize(runs_.size());
   merge_reservation_ = MemoryReservation(
       options_.budget, runs_.size() * options_.merge_buffer_records * kRecordBytes);
-  const auto greater = [this](std::uint32_t a, std::uint32_t b) {
-    const MergeSource& sa = sources_[a];
-    const MergeSource& sb = sources_[b];
-    const SortRecord& ra = sa.buffer[sa.buffer_pos];
-    const SortRecord& rb = sb.buffer[sb.buffer_pos];
-    if (!(ra == rb)) return rb < ra;
-    return sa.run > sb.run;  // deterministic tie-break on identical records
-  };
   for (std::size_t r = 0; r < runs_.size(); ++r) {
     sources_[r].run = r;
     sources_[r].buffer.reserve(options_.merge_buffer_records);
     if (RefillSource(sources_[r])) heap_.push_back(static_cast<std::uint32_t>(r));
   }
-  std::make_heap(heap_.begin(), heap_.end(), greater);
+  std::make_heap(heap_.begin(), heap_.end(), HeapGreater());
 }
 
 bool ExternalSorter::RefillSource(MergeSource& source) {
@@ -139,15 +143,7 @@ bool ExternalSorter::Next(SortRecord* out) {
     return true;
   }
   if (heap_.empty()) return false;
-  const auto greater = [this](std::uint32_t a, std::uint32_t b) {
-    const MergeSource& sa = sources_[a];
-    const MergeSource& sb = sources_[b];
-    const SortRecord& ra = sa.buffer[sa.buffer_pos];
-    const SortRecord& rb = sb.buffer[sb.buffer_pos];
-    if (!(ra == rb)) return rb < ra;
-    return sa.run > sb.run;
-  };
-  std::pop_heap(heap_.begin(), heap_.end(), greater);
+  std::pop_heap(heap_.begin(), heap_.end(), HeapGreater());
   const std::uint32_t top = heap_.back();
   heap_.pop_back();
   MergeSource& source = sources_[top];
@@ -157,7 +153,7 @@ bool ExternalSorter::Next(SortRecord* out) {
     return true;  // run drained; source leaves the heap
   }
   heap_.push_back(top);
-  std::push_heap(heap_.begin(), heap_.end(), greater);
+  std::push_heap(heap_.begin(), heap_.end(), HeapGreater());
   return true;
 }
 

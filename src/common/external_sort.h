@@ -35,7 +35,7 @@ struct SortRecord {
 /// unlinked temp file. Finish() freezes input, and Next() streams the
 /// k-way merge of all runs in ascending (key, payload) order through one
 /// small read buffer per run. When everything fit in one buffer, no spill
-/// I/O happens at all -- the in-RAM fast path sorts and serves directly.
+/// file is even opened -- the in-RAM fast path sorts and serves directly.
 class ExternalSorter {
  public:
   struct Options {
@@ -44,10 +44,10 @@ class ExternalSorter {
     std::shared_ptr<MemoryBudget> budget;
   };
 
-  /// Creates the sorter (and its spill file); null + `error` when temp
-  /// space is missing.
-  static std::unique_ptr<ExternalSorter> Create(const Options& options, std::string* error);
-
+  /// The spill file is created on the first spill; when temp space is
+  /// missing then, Add / Finish throw IoFailure("external sort
+  /// unavailable: ...").
+  explicit ExternalSorter(const Options& options);
   ~ExternalSorter();
   ExternalSorter(const ExternalSorter&) = delete;
   ExternalSorter& operator=(const ExternalSorter&) = delete;
@@ -80,14 +80,15 @@ class ExternalSorter {
     std::size_t run = 0;
   };
 
-  explicit ExternalSorter(const Options& options);
-
   void SortBuffer();
   void SpillRun();
   bool RefillSource(MergeSource& source);
+  /// The merge heap's comparator: orders sources_ indexes by each
+  /// source's current record (a min-heap), ties by run index.
+  auto HeapGreater() const;
 
   Options options_;
-  std::unique_ptr<SpillFile> file_;
+  std::unique_ptr<SpillFile> file_;  // null until the first spill
   std::vector<SortRecord> buffer_;
   MemoryReservation buffer_reservation_;
   std::vector<Run> runs_;

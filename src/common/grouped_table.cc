@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "common/external_sort.h"
-#include "common/failpoint.h"
 #include "common/flat_map.h"
 #include "common/memory_budget.h"
 #include "common/parallel.h"
@@ -376,13 +375,7 @@ void GroupedTable::BuildChunkedImpl(const Table& table, Workspace* workspace,
     sort_buffer_records = static_cast<std::size_t>(std::clamp<std::uint64_t>(
         spend / sizeof(SortRecord), 1u << 16, 4u << 20));
   }
-  std::string sort_error;
-  std::unique_ptr<ExternalSorter> sorter = ExternalSorter::Create(
-      ExternalSorter::Options{.buffer_records = sort_buffer_records, .budget = budget},
-      &sort_error);
-  // No temp space mid-build is recoverable: the engine boundary turns
-  // this into a typed I/O error, never an abort.
-  if (sorter == nullptr) throw IoFailure("external sort unavailable: " + sort_error);
+  ExternalSorter sorter({.buffer_records = sort_buffer_records, .budget = budget});
 
   // Single sequential pass in fixed row chunks: hash the chunk with the
   // FNV column fold, then resolve each row's signature in a growing
@@ -436,7 +429,7 @@ void GroupedTable::BuildChunkedImpl(const Table& table, Workspace* workspace,
         slot = (slot + 1) & mask;
       }
       ++sizes[gid];
-      sorter->Add((static_cast<std::uint64_t>(gid) << 32) | sa_col[r], r);
+      sorter.Add((static_cast<std::uint64_t>(gid) << 32) | sa_col[r], r);
       if (2 * rep_row.size() >= cap) {
         // Grow the probe table; stored hashes make the rehash table-free.
         const std::size_t new_cap = cap * 2;
@@ -475,14 +468,14 @@ void GroupedTable::BuildChunkedImpl(const Table& table, Workspace* workspace,
   // The merged (gid, sa, row) order IS the arena layout: groups back to
   // back in first-occurrence order, rows sorted by (sa, row) within each
   // group -- exactly what the sharded build's stable counting sort emits.
-  sorter->Finish();
+  sorter.Finish();
   SortRecord record;
   std::uint32_t current_gid = 0;
   SaValue current_sa = 0;
   std::size_t run_cursor = 0;
   bool first = true;
   for (std::size_t i = 0; i < n; ++i) {
-    LDIV_CHECK(sorter->Next(&record)) << "external sort lost records";
+    LDIV_CHECK(sorter.Next(&record)) << "external sort lost records";
     const std::uint32_t gid = static_cast<std::uint32_t>(record.key >> 32);
     const SaValue sa = static_cast<SaValue>(record.key & 0xffffffffu);
     rows_arena_[i] = static_cast<RowId>(record.payload);
@@ -500,7 +493,7 @@ void GroupedTable::BuildChunkedImpl(const Table& table, Workspace* workspace,
       first = false;
     }
   }
-  LDIV_CHECK(!sorter->Next(&record)) << "external sort produced extra records";
+  LDIV_CHECK(!sorter.Next(&record)) << "external sort produced extra records";
   if (!first) {
     groups_[current_gid].sa_runs = {runs_arena_.data() + run_off[current_gid],
                                     run_cursor - run_off[current_gid]};

@@ -10,11 +10,4 @@ AnonymizationOutcome Anonymize(const Table& table, std::uint32_t l, Algorithm al
                               : anonymizer->Run(table, l);
 }
 
-AnonymizationOutcome Anonymize(const Table& table, std::uint32_t l, Algorithm algorithm,
-                               const HilbertOptions& hilbert_options) {
-  AnonymizerOptions options;
-  options.hilbert = hilbert_options;
-  return Anonymize(table, l, algorithm, options);
-}
-
 }  // namespace ldv

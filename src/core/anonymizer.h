@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "core/algorithm.h"
-#include "hilbert/hilbert_partitioner.h"
 
 namespace ldv {
 
@@ -14,13 +13,8 @@ namespace ldv {
 /// `AlgorithmRegistry::Global().Create(algorithm, options)->Run(table, l)`.
 /// Pass a Workspace to reuse solver scratch across repeated calls.
 AnonymizationOutcome Anonymize(const Table& table, std::uint32_t l, Algorithm algorithm,
-                               const AnonymizerOptions& options,
+                               const AnonymizerOptions& options = {},
                                Workspace* workspace = nullptr);
-
-/// Same, with default options except the Hilbert splitting knobs (kept for
-/// callers predating AnonymizerOptions).
-AnonymizationOutcome Anonymize(const Table& table, std::uint32_t l, Algorithm algorithm,
-                               const HilbertOptions& hilbert_options = {});
 
 }  // namespace ldv
 

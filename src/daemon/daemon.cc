@@ -249,11 +249,11 @@ void Daemon::HandleConnection(int fd) {
     kv["expired"] = std::to_string(s.expired);
     kv["failed"] = std::to_string(s.failed);
     kv["max-queue-depth"] = std::to_string(s.max_queue_depth);
-    kv["cache-hits"] = std::to_string(s.cache_hits);
-    kv["cache-misses"] = std::to_string(s.cache_misses);
-    kv["bypassed-paged"] = std::to_string(s.bypassed_paged);
-    kv["artifact-hits"] = std::to_string(s.artifact_hits);
-    kv["artifact-misses"] = std::to_string(s.artifact_misses);
+    kv["cache-hits"] = std::to_string(s.datasets.hits);
+    kv["cache-misses"] = std::to_string(s.datasets.misses);
+    kv["bypassed-paged"] = std::to_string(s.datasets.bypassed_paged);
+    kv["artifact-hits"] = std::to_string(s.artifacts.hits);
+    kv["artifact-misses"] = std::to_string(s.artifacts.misses);
     kv["queue-depth"] = std::to_string(options_.queue_depth);
     kv["workers"] = std::to_string(std::max<std::size_t>(options_.workers, 1));
     ReplyBestEffort(fd, Frame{"ok", EncodeKvPayload(kv)}, deadline_ms);
@@ -434,13 +434,8 @@ Daemon::Stats Daemon::stats() const {
   // The cache counts are authoritative from the engine (they also cover
   // lookups from jobs still in flight).
   Engine& engine = const_cast<Daemon*>(this)->engine_;
-  const DatasetCache::Stats cache = engine.dataset_cache().stats();
-  copy.cache_hits = cache.hits;
-  copy.cache_misses = cache.misses;
-  copy.bypassed_paged = cache.bypassed_paged;
-  const ArtifactCache::Stats artifacts = engine.artifact_cache().stats();
-  copy.artifact_hits = artifacts.hits;
-  copy.artifact_misses = artifacts.misses;
+  copy.datasets = engine.dataset_cache().stats();
+  copy.artifacts = engine.artifact_cache().stats();
   return copy;
 }
 

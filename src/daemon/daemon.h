@@ -87,11 +87,8 @@ class Daemon {
     std::uint64_t expired = 0;          // deadline passed before dequeue
     std::uint64_t failed = 0;           // accepted jobs that ran to an error reply
     std::uint64_t max_queue_depth = 0;  // high-water mark of waiting jobs
-    std::uint64_t cache_hits = 0;       // DatasetCache hits across jobs
-    std::uint64_t cache_misses = 0;
-    std::uint64_t bypassed_paged = 0;   // DatasetCache bypasses (paged loads)
-    std::uint64_t artifact_hits = 0;    // ArtifactCache hits across jobs
-    std::uint64_t artifact_misses = 0;
+    ContentCache::Stats datasets;       // the engine's DatasetCache
+    ContentCache::Stats artifacts;      // the engine's ArtifactCache
   };
   Stats stats() const;
 

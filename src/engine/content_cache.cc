@@ -1,4 +1,6 @@
-#include "engine/artifact_cache.h"
+#include "engine/content_cache.h"
+
+#include <sys/stat.h>
 
 #include <utility>
 
@@ -6,7 +8,7 @@
 
 namespace ldv {
 
-std::shared_ptr<const void> ArtifactCache::LookupRaw(const std::string& key) {
+std::shared_ptr<const void> ContentCache::Lookup(const std::string& key) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = index_.find(key);
   if (it == index_.end()) {
@@ -15,31 +17,29 @@ std::shared_ptr<const void> ArtifactCache::LookupRaw(const std::string& key) {
   }
   lru_.splice(lru_.begin(), lru_, it->second);
   ++stats_.hits;
-  return it->second->artifact;
+  return it->second->value;
 }
 
-void ArtifactCache::InsertRaw(const std::string& key, std::shared_ptr<const void> artifact,
-                              std::uint64_t bytes) {
+void ContentCache::Insert(const std::string& key, std::shared_ptr<const void> value,
+                          std::uint64_t bytes) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (bytes > capacity_) return;  // also covers the capacity == 0 (disabled) case
   auto it = index_.find(key);
   if (it != index_.end()) {
     stats_.resident_bytes -= it->second->bytes;
-    it->second->artifact = std::move(artifact);
+    it->second->value = std::move(value);
     it->second->bytes = bytes;
-    stats_.resident_bytes += bytes;
     lru_.splice(lru_.begin(), lru_, it->second);
   } else {
-    lru_.push_front(Entry{key, std::move(artifact), bytes});
+    lru_.push_front(Entry{key, std::move(value), bytes});
     index_[key] = lru_.begin();
-    stats_.resident_bytes += bytes;
     ++stats_.insertions;
   }
+  stats_.resident_bytes += bytes;
   EvictPastCapacityLocked();
-  stats_.entries = lru_.size();
 }
 
-void ArtifactCache::EvictPastCapacityLocked() {
+void ContentCache::EvictPastCapacityLocked() {
   while (stats_.resident_bytes > capacity_ && !lru_.empty()) {
     const Entry& victim = lru_.back();
     stats_.resident_bytes -= victim.bytes;
@@ -49,51 +49,57 @@ void ArtifactCache::EvictPastCapacityLocked() {
   }
 }
 
-std::shared_ptr<const GroupedTable> ArtifactCache::LookupGrouped(const std::string& key) {
-  return std::static_pointer_cast<const GroupedTable>(LookupRaw(key));
-}
-
-std::shared_ptr<const std::vector<RowId>> ArtifactCache::LookupOrder(const std::string& key) {
-  return std::static_pointer_cast<const std::vector<RowId>>(LookupRaw(key));
-}
-
-void ArtifactCache::InsertGrouped(const std::string& key,
-                                  std::shared_ptr<const GroupedTable> grouped,
-                                  std::uint64_t bytes) {
-  InsertRaw(key, std::move(grouped), bytes);
-}
-
-void ArtifactCache::InsertOrder(const std::string& key,
-                                std::shared_ptr<const std::vector<RowId>> order,
-                                std::uint64_t bytes) {
-  InsertRaw(key, std::move(order), bytes);
-}
-
-void ArtifactCache::SetCapacity(std::uint64_t capacity_bytes) {
+void ContentCache::SetCapacity(std::uint64_t capacity_bytes) {
   std::lock_guard<std::mutex> lock(mutex_);
   capacity_ = capacity_bytes;
   EvictPastCapacityLocked();
-  stats_.entries = lru_.size();
 }
 
-ArtifactCache::Stats ArtifactCache::stats() const {
+void ContentCache::RecordPagedBypass() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++stats_.bypassed_paged;
+}
+
+ContentCache::Stats ContentCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   Stats snapshot = stats_;
   snapshot.entries = lru_.size();
   return snapshot;
 }
 
-std::uint64_t ArtifactCache::capacity_bytes() const {
+std::uint64_t ContentCache::capacity_bytes() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return capacity_;
 }
 
-void ArtifactCache::Clear() {
+void ContentCache::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   lru_.clear();
   index_.clear();
   stats_.resident_bytes = 0;
-  stats_.entries = 0;
+}
+
+namespace {
+
+std::string Nanoseconds(const struct ::timespec& t) {
+  return std::to_string(static_cast<long long>(t.tv_sec) * 1000000000LL + t.tv_nsec);
+}
+
+}  // namespace
+
+std::string DatasetCache::CsvKey(const std::string& path, CsvFormat format,
+                                 const std::string& schema_spec) {
+  struct ::stat st{};
+  if (::stat(path.c_str(), &st) != 0) return "";
+  return "csv|" + std::string(CsvFormatName(format)) + "|" + schema_spec + "|" + path + "|" +
+         std::to_string(static_cast<unsigned long long>(st.st_dev)) + "|" +
+         std::to_string(static_cast<unsigned long long>(st.st_ino)) + "|" +
+         std::to_string(static_cast<long long>(st.st_size)) + "|" + Nanoseconds(st.st_mtim) +
+         "|" + Nanoseconds(st.st_ctim);
+}
+
+std::string DatasetCache::SyntheticKey(const DatasetSpec& resolved_cell) {
+  return "syn|" + DatasetLabel(resolved_cell);
 }
 
 std::string ArtifactCache::SchemaFingerprint(const Table& table) {

@@ -51,14 +51,15 @@ std::uint64_t EstimateTableBytes(const Table& table) {
          4096;
 }
 
-// A budgeted run pages its input only when the in-RAM estimate would eat
-// more than a quarter of the budget; smaller inputs load resident and
-// cache normally (the bypass only ever protected paged tables' budget
-// reservations from outliving their run). The pre-load estimates err
-// high: 2x the CSV file size, or the synthetic grid's columnar bytes.
+// A run pages its input only under a budget, and only when the in-RAM
+// estimate would eat more than a quarter of it; smaller inputs load
+// resident and cache normally (the bypass only ever protected paged
+// tables' budget reservations from outliving their run). The pre-load
+// estimates err high: 2x the CSV file size, or the synthetic grid's
+// columnar bytes.
 bool ShouldPage(std::uint64_t estimated_bytes) {
   const std::uint64_t budget = MemoryBudgetBytes();
-  return budget == 0 || estimated_bytes > budget / 4;
+  return budget != 0 && estimated_bytes > budget / 4;
 }
 
 std::uint64_t EstimateCsvBytes(const std::string& path) {
@@ -71,6 +72,29 @@ std::uint64_t EstimateSyntheticBytes(const DatasetSpec& cell) {
   return static_cast<std::uint64_t>(cell.n) * (cell.d + 1) * sizeof(std::uint32_t) + 4096;
 }
 
+std::uint64_t ArtifactBytes(const GroupedTable& grouped) { return grouped.ApproxBytes(); }
+std::uint64_t ArtifactBytes(const std::vector<RowId>& order) {
+  return order.size() * sizeof(RowId);
+}
+
+// One artifact of a table: the cached copy under `key`, or `build()`,
+// inserted under `key` when the table is cache-eligible ("" = built per
+// run, never cached). Counts the lookup in the run's artifact traffic.
+template <typename T, typename Build>
+std::shared_ptr<const T> ResolveArtifact(ArtifactCache& cache, const std::string& key,
+                                         Build build, JobResult* result) {
+  if (!key.empty()) {
+    if (std::shared_ptr<const void> hit = cache.Lookup(key)) {
+      ++result->artifact_hits;
+      return std::static_pointer_cast<const T>(hit);
+    }
+    ++result->artifact_misses;
+  }
+  std::shared_ptr<const T> built = build();
+  if (!key.empty()) cache.Insert(key, built, ArtifactBytes(*built));
+  return built;
+}
+
 }  // namespace
 
 Engine::Engine(EngineOptions options)
@@ -81,45 +105,57 @@ Engine::Engine(EngineOptions options)
 Expected<bool, PipelineError> Engine::MaterializeTables(const ResolvedJobSpec& resolved,
                                                         JobResult* result) {
   const JobSpec& spec = resolved.spec;
-  const bool paged = MemoryBudgetBytes() != 0;
   const PagedTableBuilder::Options paged_options = PagedOptionsFromBudget();
   std::string error;
+  // One input table. Truly paged tables bypass the cache: they hold
+  // reservations against this run's process-global budget, which the next
+  // SetMemoryBudget replaces. Everything else -- budgeted inputs that fit
+  // in RAM included -- is served from or added to the DatasetCache under
+  // `key` ("" = uncacheable). `require_rows` rejects an empty CSV.
+  auto materialize = [&](std::string source, std::uint64_t estimated_bytes,
+                         const std::string& key, bool require_rows, auto load_paged,
+                         auto load) -> std::optional<PipelineError> {
+    std::shared_ptr<EngineTable> entry;
+    if (ShouldPage(estimated_bytes)) {
+      cache_.RecordPagedBypass();
+      std::unique_ptr<PagedTable> table = load_paged();
+      if (table == nullptr) return IoError(error);
+      entry = std::make_shared<EngineTable>(std::move(table));
+    } else {
+      if (!key.empty()) {
+        if (std::shared_ptr<const EngineTable> hit = cache_.Lookup(key)) {
+          ++result->cache_hits;
+          result->tables.push_back(std::move(hit));
+          return std::nullopt;
+        }
+        ++result->cache_misses;
+      }
+      std::optional<Table> table = load();
+      if (!table) return IoError(error);
+      entry = std::make_shared<EngineTable>(std::move(*table));
+      entry->cache_key = key;
+    }
+    if (require_rows && entry->table.empty()) {
+      return IoError("'" + spec.input + "' holds no data rows");
+    }
+    entry->source = std::move(source);
+    if (!entry->cache_key.empty()) cache_.Insert(key, entry, EstimateTableBytes(entry->table));
+    result->tables.push_back(std::move(entry));
+    return std::nullopt;
+  };
+
   if (!spec.input.empty()) {
     const Schema* schema = resolved.schema.has_value() ? &*resolved.schema : nullptr;
-    const std::string source =
-        (resolved.format == CsvFormat::kRaw ? "csv-raw:" : "csv:") + spec.input;
-    if (paged && ShouldPage(EstimateCsvBytes(spec.input))) {
-      // Truly paged tables bypass the cache: they hold reservations
-      // against this run's process-global budget, which the next
-      // SetMemoryBudget replaces. Budgeted inputs that fit in RAM fall
-      // through to the normal cached load below.
-      cache_.RecordPagedBypass();
-      std::unique_ptr<PagedTable> table =
-          LoadTableCsvPaged(spec.input, resolved.format, schema, paged_options, &error);
-      if (table == nullptr) return IoError(error);
-      if (table->size() == 0) return IoError("'" + spec.input + "' holds no data rows");
-      auto entry = std::make_shared<EngineTable>(std::move(table));
-      entry->source = source;
-      result->tables.push_back(std::move(entry));
-      return true;
-    }
-    const std::string key = DatasetCache::CsvKey(spec.input, resolved.format, spec.schema_spec);
-    if (!key.empty()) {
-      if (std::shared_ptr<const EngineTable> hit = cache_.Lookup(key)) {
-        ++result->cache_hits;
-        result->tables.push_back(std::move(hit));
-        return true;
-      }
-      ++result->cache_misses;
-    }
-    std::optional<Table> table = LoadTableCsv(spec.input, resolved.format, schema, &error);
-    if (!table) return IoError(error);
-    if (table->empty()) return IoError("'" + spec.input + "' holds no data rows");
-    auto entry = std::make_shared<EngineTable>(std::move(*table));
-    entry->source = source;
-    entry->cache_key = key;
-    if (!key.empty()) cache_.Insert(key, entry, EstimateTableBytes(entry->table));
-    result->tables.push_back(std::move(entry));
+    std::optional<PipelineError> failed = materialize(
+        (resolved.format == CsvFormat::kRaw ? "csv-raw:" : "csv:") + spec.input,
+        EstimateCsvBytes(spec.input),
+        DatasetCache::CsvKey(spec.input, resolved.format, spec.schema_spec),
+        /*require_rows=*/true,
+        [&] {
+          return LoadTableCsvPaged(spec.input, resolved.format, schema, paged_options, &error);
+        },
+        [&] { return LoadTableCsv(spec.input, resolved.format, schema, &error); });
+    if (failed.has_value()) return *failed;
     return true;
   }
 
@@ -130,29 +166,12 @@ Expected<bool, PipelineError> Engine::MaterializeTables(const ResolvedJobSpec& r
       DatasetSpec cell = spec.dataset;
       cell.n = static_cast<std::size_t>(n);
       cell.d = static_cast<std::size_t>(d);
-      if (paged && ShouldPage(EstimateSyntheticBytes(cell))) {
-        cache_.RecordPagedBypass();
-        std::unique_ptr<PagedTable> table = GenerateDatasetPaged(cell, paged_options, &error);
-        if (table == nullptr) return IoError(error);
-        auto entry = std::make_shared<EngineTable>(std::move(table));
-        entry->source = DatasetLabel(cell);
-        result->tables.push_back(std::move(entry));
-        continue;
-      }
-      const std::string key = DatasetCache::SyntheticKey(cell);
-      if (std::shared_ptr<const EngineTable> hit = cache_.Lookup(key)) {
-        ++result->cache_hits;
-        result->tables.push_back(std::move(hit));
-        continue;
-      }
-      ++result->cache_misses;
-      std::optional<Table> table = GenerateDataset(cell, &error);
-      if (!table) return IoError(error);
-      auto entry = std::make_shared<EngineTable>(std::move(*table));
-      entry->source = DatasetLabel(cell);
-      entry->cache_key = key;
-      cache_.Insert(key, entry, EstimateTableBytes(entry->table));
-      result->tables.push_back(std::move(entry));
+      std::optional<PipelineError> failed = materialize(
+          DatasetLabel(cell), EstimateSyntheticBytes(cell), DatasetCache::SyntheticKey(cell),
+          /*require_rows=*/false,
+          [&] { return GenerateDatasetPaged(cell, paged_options, &error); },
+          [&] { return GenerateDataset(cell, &error); });
+      if (failed.has_value()) return *failed;
     }
   }
   return true;
@@ -170,7 +189,6 @@ std::uint64_t Engine::ResolveArtifacts(std::span<const RunSpec> specs, JobResult
   std::uint64_t resident_bytes = 0;
   Workspace workspace;
   for (std::size_t i = 0; i < result->tables.size(); ++i) {
-    if (need_grouped[i] == 0 && need_order[i] == 0) continue;
     const EngineTable& input = *result->tables[i];
     // Cross-run caching needs a content-identity key and an in-RAM table
     // (a paged table's artifacts are rebuilt per run like the table
@@ -178,51 +196,29 @@ std::uint64_t Engine::ResolveArtifacts(std::span<const RunSpec> specs, JobResult
     // of a sweep shares the build either way.
     const bool eligible = !input.cache_key.empty() && input.paged == nullptr;
     TableArtifacts& artifacts = result->artifacts[i];
-
     if (need_grouped[i] != 0) {
       const std::string key =
           eligible ? ArtifactCache::GroupedKey(input.cache_key, input.table) : std::string();
-      if (eligible) {
-        artifacts.grouped = artifact_cache_.LookupGrouped(key);
-        if (artifacts.grouped != nullptr) {
-          ++result->artifact_hits;
-        } else {
-          ++result->artifact_misses;
-        }
-      }
-      if (artifacts.grouped == nullptr) {
+      artifacts.grouped = ResolveArtifact<GroupedTable>(artifact_cache_, key, [&] {
         auto grouped = std::make_shared<GroupedTable>(input.table, &workspace);
         // The build may have charged its arenas to THIS run's memory
         // budget; a cached artifact must never carry that reservation
         // into the next budget epoch. RunLocked re-charges the resident
         // bytes with a run-scoped reservation instead.
         grouped->ReleaseBudgetCharge();
-        if (eligible) artifact_cache_.InsertGrouped(key, grouped, grouped->ApproxBytes());
-        artifacts.grouped = std::move(grouped);
-      }
-      resident_bytes += artifacts.grouped->ApproxBytes();
+        return grouped;
+      }, result);
+      resident_bytes += ArtifactBytes(*artifacts.grouped);
     }
-
     if (need_order[i] != 0) {
       const std::string key =
           eligible ? ArtifactCache::OrderKey(input.cache_key, input.table) : std::string();
-      if (eligible) {
-        artifacts.hilbert_order = artifact_cache_.LookupOrder(key);
-        if (artifacts.hilbert_order != nullptr) {
-          ++result->artifact_hits;
-        } else {
-          ++result->artifact_misses;
-        }
-      }
-      if (artifacts.hilbert_order == nullptr) {
+      artifacts.hilbert_order = ResolveArtifact<std::vector<RowId>>(artifact_cache_, key, [&] {
         auto order = std::make_shared<std::vector<RowId>>();
         HilbertComputeOrder(input.table, &workspace, order.get());
-        if (eligible) {
-          artifact_cache_.InsertOrder(key, order, order->size() * sizeof(RowId));
-        }
-        artifacts.hilbert_order = std::move(order);
-      }
-      resident_bytes += artifacts.hilbert_order->size() * sizeof(RowId);
+        return order;
+      }, result);
+      resident_bytes += ArtifactBytes(*artifacts.hilbert_order);
     }
   }
   return resident_bytes;

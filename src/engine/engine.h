@@ -13,8 +13,7 @@
 #include "common/table.h"
 #include "core/artifacts.h"
 #include "core/run_spec.h"
-#include "engine/artifact_cache.h"
-#include "engine/dataset_cache.h"
+#include "engine/content_cache.h"
 #include "engine/error.h"
 #include "engine/job_spec.h"
 

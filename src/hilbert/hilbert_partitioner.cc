@@ -4,13 +4,11 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
-#include <numeric>
 #include <vector>
 
 #include "anonymity/eligibility.h"
 #include "common/check.h"
 #include "common/external_sort.h"
-#include "common/failpoint.h"
 #include "common/memory_budget.h"
 #include "common/parallel.h"
 #include "common/workspace.h"
@@ -59,41 +57,19 @@ class GrowingEligibility {
   std::uint64_t total_ = 0;
 };
 
-// Hilbert code per row, written into `codes`. Domains larger than the
-// representable grid are right-shifted (graceful coarsening); the paper's
-// workloads (d <= 7, domains <= 79) always fit exactly. The encode is a
-// pure per-row map, so the rows are fanned out in fixed chunks -- the
-// result cannot depend on the thread count.
-void ComputeCodes(const Table& table, Workspace& ws, std::vector<std::uint64_t>* codes) {
-  std::uint32_t d = static_cast<std::uint32_t>(table.qi_count());
-  std::uint32_t bits_needed = 1;
-  for (AttrId a = 0; a < d; ++a) {
-    bits_needed = std::max(bits_needed,
-                           HilbertCurve::BitsForDomain(table.schema().qi(a).domain_size));
-  }
-  std::uint32_t bits = std::min(bits_needed, std::max(1u, 64u / d));
-  std::uint32_t shift = bits_needed - bits;
-  HilbertCurve curve(d, bits);
-
-  codes->resize(table.size());
-  std::vector<const Value*> cols(d);
-  for (AttrId a = 0; a < d; ++a) cols[a] = table.column(a).data();
-  std::uint64_t* out = codes->data();
-  ParallelFor(table.size(), 8192, ws,
-              [&](std::size_t begin, std::size_t end, Workspace&) {
-                curve.EncodeBlock(cols.data(), shift, begin, end - begin, out + begin);
-              });
-}
-
-// Out-of-core variant of ComputeOrder: rows are Hilbert-encoded in fixed
-// chunks and fed straight into a budget-bounded external sort of
-// (code, row) records, so neither the full code array (8 bytes/row) nor
-// any sort scratch is ever resident -- peak memory is one encode chunk
-// plus the sorter's buffer. The sorted (key, payload) order equals the
-// in-RAM path's comparator `codes[a] < codes[b], ties by a < b` exactly,
-// so the emitted order is byte-identical.
-void ComputeOrderExternal(const Table& table, Workspace& ws, std::vector<RowId>* order) {
+// Sorted Hilbert order of the table's rows. Rows are Hilbert-encoded in
+// fixed chunks and fed into an ExternalSorter of (code, row) records, whose
+// (key, payload) order is `codes[a] < codes[b], ties by a < b`. Unbudgeted,
+// or when the budget can hold a 16-byte record per row, the run buffer
+// holds every row: the sort runs in RAM as one run and never opens a spill
+// file. Otherwise the buffer takes a quarter of the remaining budget, full
+// buffers spill as sorted runs, and the k-way merge streams them back --
+// the full code array (8 bytes/row) is never resident. Domains larger than
+// the representable grid are right-shifted (graceful coarsening); the
+// paper's workloads (d <= 7, domains <= 79) always fit exactly.
+void ComputeOrder(const Table& table, Workspace& ws, std::vector<RowId>* order) {
   constexpr std::size_t kEncodeChunk = 65536;
+  const std::size_t n = table.size();
   std::uint32_t d = static_cast<std::uint32_t>(table.qi_count());
   std::uint32_t bits_needed = 1;
   for (AttrId a = 0; a < d; ++a) {
@@ -106,77 +82,53 @@ void ComputeOrderExternal(const Table& table, Workspace& ws, std::vector<RowId>*
 
   std::shared_ptr<MemoryBudget> budget =
       MemoryBudgetBytes() != 0 ? GlobalMemoryBudgetShared() : nullptr;
-  const std::uint64_t spend = budget != nullptr ? budget->remaining() / 4 : 64ull << 20;
-  const std::size_t buffer_records = static_cast<std::size_t>(
-      std::clamp<std::uint64_t>(spend / sizeof(SortRecord), 1u << 16, 4u << 20));
-  std::string sort_error;
-  std::unique_ptr<ExternalSorter> sorter = ExternalSorter::Create(
-      ExternalSorter::Options{.buffer_records = buffer_records, .budget = budget}, &sort_error);
-  // Recoverable: the engine boundary converts the throw to a typed I/O
-  // error instead of aborting the process mid-sort.
-  if (sorter == nullptr) throw IoFailure("external sort unavailable: " + sort_error);
+  std::size_t buffer_records = std::max<std::size_t>(n, 1);
+  if (budget != nullptr && !budget->WouldFit(sizeof(SortRecord) * n)) {
+    buffer_records = static_cast<std::size_t>(std::clamp<std::uint64_t>(
+        budget->remaining() / 4 / sizeof(SortRecord), 1u << 16, 4u << 20));
+  }
+  ExternalSorter sorter({.buffer_records = buffer_records, .budget = budget});
 
   std::vector<const Value*> cols(d);
   for (AttrId a = 0; a < d; ++a) cols[a] = table.column(a).data();
   auto chunk_s = ws.U64();
   std::vector<std::uint64_t>& chunk = *chunk_s;
-  chunk.resize(std::min(table.size(), kEncodeChunk));
-  for (std::size_t begin = 0; begin < table.size(); begin += kEncodeChunk) {
-    const std::size_t count = std::min(kEncodeChunk, table.size() - begin);
+  chunk.resize(std::min(n, kEncodeChunk));
+  for (std::size_t begin = 0; begin < n; begin += kEncodeChunk) {
+    const std::size_t count = std::min(kEncodeChunk, n - begin);
     curve.EncodeBlock(cols.data(), shift, begin, count, chunk.data());
-    for (std::size_t i = 0; i < count; ++i) sorter->Add(chunk[i], begin + i);
+    for (std::size_t i = 0; i < count; ++i) sorter.Add(chunk[i], begin + i);
   }
-  sorter->Finish();
-  order->resize(table.size());
+  sorter.Finish();
+  order->resize(n);
   SortRecord record;
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    LDIV_CHECK(sorter->Next(&record)) << "external sort lost records";
+  for (std::size_t i = 0; i < n; ++i) {
+    LDIV_CHECK(sorter.Next(&record)) << "external sort lost records";
     (*order)[i] = static_cast<RowId>(record.payload);
   }
 }
 
-// Sorted Hilbert order of the table's rows, drawn from the workspace.
-// Under a process memory budget that cannot fit the code array plus sort,
-// the external-sort path streams instead (byte-identical output).
-void ComputeOrder(const Table& table, Workspace& ws, std::vector<RowId>* order) {
-  if (MemoryBudgetBytes() != 0 &&
-      !GlobalMemoryBudget().WouldFit(12ull * table.size())) {  // codes + sorted order
-    ComputeOrderExternal(table, ws, order);
-    return;
-  }
-  auto codes_s = ws.U64();
-  std::vector<std::uint64_t>& codes = *codes_s;
-  ComputeCodes(table, ws, &codes);
-  order->resize(table.size());
-  std::iota(order->begin(), order->end(), 0u);
-  std::sort(order->begin(), order->end(), [&](RowId a, RowId b) {
-    return codes[a] != codes[b] ? codes[a] < codes[b] : a < b;
-  });
-}
-
-// Greedy splitter: close each group as soon as it becomes l-eligible; merge
-// an ineligible tail backwards (the union of l-eligible groups stays
-// l-eligible by Lemma 1, and the whole table is l-eligible, so the merge
-// terminates). Group start offsets are appended to `starts`.
-void GreedySplit(const Table& table, const std::vector<RowId>& order, std::uint32_t l,
-                 Workspace& ws, std::vector<std::uint32_t>* starts) {
-  auto counts_s = ws.U32();
-  auto touched_s = ws.U32();
-  GrowingEligibility acc(&*counts_s, &*touched_s, table.schema().sa_domain_size());
+// Greedy splitter: close each group as soon as `satisfied(acc)` holds and
+// `reset` empties `acc`; merge an unsatisfied tail backwards. Sound for any
+// predicate that is monotone under union and holds for the whole table --
+// l-eligibility (Lemma 1) and the diversity variants of [31] -- so the
+// merge terminates (at worst the tail becomes the whole table). Group
+// start offsets are appended to `starts`.
+template <typename Accumulator, typename Satisfied, typename Reset>
+void GreedySplit(const Table& table, const std::vector<RowId>& order, Accumulator& acc,
+                 Satisfied satisfied, Reset reset, std::vector<std::uint32_t>* starts) {
   std::size_t group_start = 0;
   for (std::size_t i = 0; i < order.size(); ++i) {
     if (acc.total() == 0) group_start = i;
     acc.Add(table.sa(order[i]));
-    if (acc.Eligible(l)) {
+    if (satisfied(acc)) {
       starts->push_back(static_cast<std::uint32_t>(group_start));
-      acc.Reset();
+      reset();
     }
   }
   if (acc.total() > 0) {
-    // Ineligible tail: merge backwards until the combined suffix is
-    // l-eligible (at worst the suffix becomes the whole table).
     std::size_t tail_start = group_start;
-    while (!acc.Eligible(l)) {
+    while (!satisfied(acc)) {
       LDIV_CHECK(!starts->empty());
       std::size_t prev = starts->back();
       starts->pop_back();
@@ -365,26 +317,9 @@ HilbertResult HilbertAnonymizeWithSpec(const Table& table, const DiversitySpec& 
   // Greedy close + backward merge, with the generic (monotone) predicate.
   std::vector<std::uint32_t> starts;
   SaHistogram acc(m);
-  std::size_t group_start = 0;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    if (acc.empty()) group_start = i;
-    acc.Add(table.sa(order[i]));
-    if (SatisfiesDiversity(acc, spec)) {
-      starts.push_back(static_cast<std::uint32_t>(group_start));
-      acc = SaHistogram(m);
-    }
-  }
-  if (!acc.empty()) {
-    std::size_t tail_start = group_start;
-    while (!SatisfiesDiversity(acc, spec)) {
-      LDIV_CHECK(!starts.empty());
-      std::size_t prev = starts.back();
-      starts.pop_back();
-      for (std::size_t i = prev; i < tail_start; ++i) acc.Add(table.sa(order[i]));
-      tail_start = prev;
-    }
-    starts.push_back(static_cast<std::uint32_t>(tail_start));
-  }
+  GreedySplit(
+      table, order, acc, [&spec](const SaHistogram& h) { return SatisfiesDiversity(h, spec); },
+      [&acc, m] { acc = SaHistogram(m); }, &starts);
 
   EmitGroups(order, starts, &result.partition);
   result.feasible = true;
@@ -424,7 +359,12 @@ HilbertResult HilbertAnonymize(const Table& table, std::uint32_t l,
   auto starts_s = ws.U32();
   std::vector<std::uint32_t>& starts = *starts_s;
   if (options.splitter == HilbertOptions::Splitter::kGreedy) {
-    GreedySplit(table, order, l, ws, &starts);
+    auto counts_s = ws.U32();
+    auto touched_s = ws.U32();
+    GrowingEligibility acc(&*counts_s, &*touched_s, table.schema().sa_domain_size());
+    GreedySplit(
+        table, order, acc, [l](const GrowingEligibility& e) { return e.Eligible(l); },
+        [&acc] { acc.Reset(); }, &starts);
   } else {
     WindowDpSplit(table, order, l, options.dp_window_factor * l, ws, &starts);
   }

@@ -57,8 +57,8 @@ HilbertResult HilbertAnonymize(const Table& table, std::uint32_t l,
 /// The sorted Hilbert row order of `table` -- the dataset-dependent,
 /// l-independent half of HilbertAnonymize, exposed so callers can compute
 /// it once per dataset and replay it across solves. Byte-identical to the
-/// order HilbertAnonymize derives internally (including the external-sort
-/// path under a memory budget).
+/// order HilbertAnonymize derives internally, and the same at any memory
+/// budget (a tight budget only makes the external sort spill).
 void HilbertComputeOrder(const Table& table, Workspace* workspace, std::vector<RowId>* order);
 
 /// Generic-predicate variant for the alternative l-diversity

@@ -4,11 +4,15 @@
 // correctness under a forced-eviction artifact budget, and concurrent
 // daemon submissions sharing one cached artifact (run under TSan in CI).
 
-#include "engine/artifact_cache.h"
+#include "engine/content_cache.h"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
+#include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -147,6 +151,38 @@ TEST(ArtifactCacheEngine, CsvContentChangeInvalidatesArtifacts) {
   ASSERT_TRUE(third.ok()) << third.error().message;
   EXPECT_EQ(third->artifact_hits, 0u) << "a changed CSV must not reuse stale artifacts";
   EXPECT_EQ(third->artifact_misses, 1u);
+
+  // The rewrite a path + mtime + size key cannot see: the same rows in
+  // reverse order (same byte count) with the original mtime restored, as
+  // `cp -p` or `rsync -t` leave it. Only the ctime still moves, so the
+  // table and its artifacts must both miss.
+  struct ::stat before{};
+  ASSERT_EQ(::stat(path.c_str(), &before), 0);
+  std::string header;
+  std::vector<std::string> rows;
+  {
+    std::ifstream in(path);
+    std::getline(in, header);
+    for (std::string row; std::getline(in, row);) rows.push_back(row);
+  }
+  // Step past the file-system clock's granularity so the rewrite cannot
+  // share the previous write's ctime tick.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << header << '\n';
+    for (auto row = rows.rbegin(); row != rows.rend(); ++row) out << *row << '\n';
+  }
+  const struct ::timespec times[2] = {before.st_atim, before.st_mtim};
+  ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0);
+  struct ::stat after{};
+  ASSERT_EQ(::stat(path.c_str(), &after), 0);
+  ASSERT_EQ(after.st_size, before.st_size);
+  ASSERT_EQ(after.st_mtim.tv_nsec, before.st_mtim.tv_nsec);
+  Expected<JobResult, PipelineError> fourth = engine.Run(spec);
+  ASSERT_TRUE(fourth.ok()) << fourth.error().message;
+  EXPECT_EQ(fourth->cache_misses, 1u) << "the rewritten rows must not be served from the cache";
+  EXPECT_EQ(fourth->artifact_misses, 1u) << "nor their stale grouping";
 
   std::remove(path.c_str());
   SetThreadBudget(0);

@@ -19,7 +19,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/schema_spec.h"
-#include "engine/dataset_cache.h"
+#include "engine/content_cache.h"
 #include "engine/error.h"
 #include "engine/job_spec.h"
 #include "engine/report.h"
@@ -392,7 +392,7 @@ TEST(Engine, MatchesTheCliAdapterByteForByte) {
   options.ls = {3};
   options.timings = false;
 
-  Expected<PipelineResult, PipelineError> via_cli = RunPipeline(options);
+  Expected<JobResult, PipelineError> via_cli = RunPipeline(options);
   ASSERT_TRUE(via_cli.ok()) << via_cli.error().message;
 
   Engine engine;

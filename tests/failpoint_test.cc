@@ -146,10 +146,10 @@ JobSpec PagedHilbertSpec() {
   return spec;
 }
 
-// Reaches the external-sort sites: 12 bytes/row of Hilbert sort state
-// over 800k rows (9.6M) can never fit the 8M budget, so ComputeOrder is
-// forced onto the external spill+merge path, and 800k records overflow
-// the budget-derived sort buffer into multiple runs.
+// Reaches the external-sort sites: 16 bytes/row of Hilbert sort records
+// over 800k rows (12.8M) can never fit the 8M budget, so the sort's run
+// buffer is sized from the budget, and 800k records overflow it into
+// multiple spilled runs.
 JobSpec SortHeavySpec() {
   JobSpec spec = PagedHilbertSpec();
   spec.ns = {800000};

@@ -10,17 +10,20 @@
 #include <algorithm>
 #include <fstream>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/csv.h"
+#include "common/failpoint.h"
 #include "common/grouped_table.h"
 #include "common/memory_budget.h"
 #include "common/workspace.h"
 #include "core/anonymizer.h"
 #include "data/acs_generator.h"
 #include "data/dataset.h"
+#include "hilbert/hilbert_curve.h"
 #include "hilbert/hilbert_partitioner.h"
 #include "test_util.h"
 
@@ -127,7 +130,7 @@ TEST_F(PagedEquivalence, AllAlgorithmsByteIdenticalUnderTightBudget) {
   spec.n = 30000;
   spec.d = 3;
 
-  // Unbudgeted reference: in-RAM generation, sharded grouping, in-RAM
+  // Unbudgeted reference: in-RAM generation, sharded grouping, one-run
   // Hilbert sort.
   std::string error;
   std::optional<Table> in_ram = GenerateDataset(spec, &error);
@@ -139,7 +142,7 @@ TEST_F(PagedEquivalence, AllAlgorithmsByteIdenticalUnderTightBudget) {
   }
 
   // 256 KiB budget: far below the 32n sharded-grouping scratch (960 KB)
-  // and the 12n Hilbert code buffer (360 KB), so every budget-aware
+  // and the 16n Hilbert sort buffer (480 KB), so every budget-aware
   // dispatch takes its streaming path, over a paged table whose 8-frame
   // 4 KiB-page cache evicted heavily during ingestion validation.
   SetMemoryBudget(256u << 10);
@@ -186,24 +189,72 @@ TEST_F(PagedEquivalence, ChunkedGroupingMatchesShardedBuild) {
   ExpectSameGroups(sharded, dispatched);
 }
 
-TEST_F(PagedEquivalence, HilbertExternalOrderMatchesInRamSort) {
+// The Hilbert row order takes one ExternalSorter path at every budget;
+// the budget only decides whether the sort finishes as one in-RAM run or
+// spills runs and merges them. `spills` pins which of the two each case
+// exercises.
+struct OrderBudgetCase {
+  const char* name;
+  std::uint64_t budget_bytes;  // 0 = unlimited
+  bool spills;
+};
+
+class HilbertOrderAcrossBudgets : public PagedEquivalence,
+                                  public ::testing::WithParamInterface<OrderBudgetCase> {};
+
+TEST_P(HilbertOrderAcrossBudgets, MatchesAPlainSortOfTheCodes) {
   Table sal = GenerateSal(150000, 1);
   Table t = sal.ProjectQi({0, 2, 3, 5});
-  HilbertResult expected = HilbertAnonymize(t, 4);
-  ASSERT_TRUE(expected.feasible);
 
-  // 64 KiB budget: 12n = 1.8 MB does not fit, so ComputeOrder goes
-  // external; with n > the sorter's 64Ki-record buffer floor the run
-  // actually spills and merges.
-  SetMemoryBudget(64u << 10);
-  Workspace ws;
-  HilbertResult external = HilbertAnonymize(t, 4, {}, &ws);
-  ASSERT_TRUE(external.feasible);
-  ASSERT_EQ(expected.partition.group_count(), external.partition.group_count());
-  for (GroupId g = 0; g < expected.partition.group_count(); ++g) {
-    ASSERT_EQ(expected.partition.group(g), external.partition.group(g)) << "group " << g;
+  // Oracle: every row's Hilbert code, rows sorted by (code, row id). The
+  // SAL domains fit the 16 bits per dimension a 4-d curve gets, so no
+  // coarsening applies.
+  std::uint32_t bits = 1;
+  for (AttrId a = 0; a < t.qi_count(); ++a) {
+    bits = std::max(bits, HilbertCurve::BitsForDomain(t.schema().qi(a).domain_size));
+  }
+  HilbertCurve curve(static_cast<std::uint32_t>(t.qi_count()), bits);
+  std::vector<std::uint64_t> codes(t.size());
+  std::vector<std::uint32_t> coords(t.qi_count());
+  for (RowId r = 0; r < t.size(); ++r) {
+    for (AttrId a = 0; a < t.qi_count(); ++a) coords[a] = t.column(a)[r];
+    codes[r] = curve.Encode(coords);
+  }
+  std::vector<RowId> expected(t.size());
+  std::iota(expected.begin(), expected.end(), 0u);
+  std::sort(expected.begin(), expected.end(), [&](RowId a, RowId b) {
+    return codes[a] != codes[b] ? codes[a] < codes[b] : a < b;
+  });
+
+  // A never-firing arm makes the failpoint layer count the sorter's run
+  // spills without injecting anything.
+  SetMemoryBudget(GetParam().budget_bytes);
+  failpoint::Arm(failpoint::Site::kExtSortSpill, failpoint::Injection{}, ~std::uint64_t{0});
+  std::vector<RowId> order;
+  HilbertComputeOrder(t, nullptr, &order);
+  std::uint64_t spills = 0;
+  for (const failpoint::SiteStats& stats : failpoint::Stats()) {
+    if (stats.site == failpoint::Site::kExtSortSpill) spills = stats.evaluations;
+  }
+  failpoint::DisarmAll();
+
+  EXPECT_EQ(order, expected);
+  if (GetParam().spills) {
+    EXPECT_GE(spills, 2u) << "the budget must force a multi-run spill";
+  } else {
+    EXPECT_EQ(spills, 0u) << "the sort must finish as one in-RAM run";
   }
 }
+
+// 150k rows: 16n = 2.4 MB of sort records. 4 MiB holds them all; 64 KiB
+// clamps the run buffer to its 64Ki-record floor, so the rows spill as
+// three runs.
+INSTANTIATE_TEST_SUITE_P(
+    Budgets, HilbertOrderAcrossBudgets,
+    ::testing::Values(OrderBudgetCase{"Unbudgeted", 0, false},
+                      OrderBudgetCase{"BudgetHolds16n", 4u << 20, false},
+                      OrderBudgetCase{"MultiRunSpill", 64u << 10, true}),
+    [](const ::testing::TestParamInfo<OrderBudgetCase>& info) { return info.param.name; });
 
 }  // namespace
 }  // namespace ldv

@@ -351,9 +351,7 @@ TEST(PagedTableBuilder, ValidationRejectsOutOfDomainAndRaggedColumns) {
 TEST(ExternalSorter, InRamFastPathServesSortedRecords) {
   ExternalSorter::Options options;
   options.buffer_records = 1024;
-  std::string error;
-  std::unique_ptr<ExternalSorter> sorter = ExternalSorter::Create(options, &error);
-  ASSERT_NE(sorter, nullptr) << error;
+  auto sorter = std::make_unique<ExternalSorter>(options);
 
   Rng rng(5);
   std::vector<SortRecord> expected;
@@ -372,16 +370,41 @@ TEST(ExternalSorter, InRamFastPathServesSortedRecords) {
   EXPECT_EQ(merged, expected);
 }
 
+// A sort whose input fits its buffer -- exactly, here -- never opens a
+// spill file: not at construction, not while records arrive, and not on
+// Finish or the drain. Unbudgeted Hilbert orders and groupings rely on
+// this to stay off disk.
+TEST(ExternalSorter, SortThatFitsItsBufferNeverOpensASpillFile) {
+  const std::uint64_t baseline = SpillFile::LiveCount();
+  ExternalSorter::Options options;
+  options.buffer_records = 4096;
+  ExternalSorter sorter(options);
+  EXPECT_EQ(SpillFile::LiveCount(), baseline);
+  Rng rng(3);
+  for (std::uint64_t i = 0; i < options.buffer_records; ++i) sorter.Add(rng.Below(1000), i);
+  EXPECT_EQ(SpillFile::LiveCount(), baseline);
+  sorter.Finish();
+  EXPECT_EQ(sorter.run_count(), 1u);
+  SortRecord previous{0, 0};
+  SortRecord out;
+  std::uint64_t drained = 0;
+  while (sorter.Next(&out)) {
+    EXPECT_FALSE(out < previous);
+    previous = out;
+    ++drained;
+  }
+  EXPECT_EQ(drained, options.buffer_records);
+  EXPECT_EQ(SpillFile::LiveCount(), baseline);
+}
+
 TEST(ExternalSorter, MultiRunMergePreservesTotalOrder) {
   ExternalSorter::Options options;
   options.buffer_records = 128;        // force many spilled runs
   options.merge_buffer_records = 16;   // and many refills per run
   auto budget = std::make_shared<MemoryBudget>(1 << 20);
   options.budget = budget;
-  std::string error;
   {
-    std::unique_ptr<ExternalSorter> sorter = ExternalSorter::Create(options, &error);
-    ASSERT_NE(sorter, nullptr) << error;
+    auto sorter = std::make_unique<ExternalSorter>(options);
 
     Rng rng(17);
     std::vector<SortRecord> expected;
@@ -408,9 +431,7 @@ TEST(ExternalSorter, MultiRunMergePreservesTotalOrder) {
 }
 
 TEST(ExternalSorter, EmptyInputDrainsImmediately) {
-  std::string error;
-  std::unique_ptr<ExternalSorter> sorter = ExternalSorter::Create({}, &error);
-  ASSERT_NE(sorter, nullptr) << error;
+  auto sorter = std::make_unique<ExternalSorter>(ExternalSorter::Options{});
   sorter->Finish();
   SortRecord out;
   EXPECT_FALSE(sorter->Next(&out));

@@ -74,12 +74,12 @@ int OneShotMain(int argc, char** argv) {
     return kExitOk;
   }
 
-  Expected<PipelineResult, PipelineError> run = RunPipeline(options);
+  Expected<JobResult, PipelineError> run = RunPipeline(options);
   if (!run.ok()) {
     std::fprintf(stderr, "ldiv: %s\n", run.error().message.c_str());
     return ExitCodeFor(run.error().code);
   }
-  const PipelineResult& result = run.value();
+  const JobResult& result = run.value();
 
   std::string notices;
   if (std::optional<PipelineError> write_error =
@@ -92,7 +92,7 @@ int OneShotMain(int argc, char** argv) {
   // One summary line per job, in job order.
   std::size_t infeasible = 0;
   for (std::size_t i = 0; i < result.jobs.size(); ++i) {
-    const PipelineJobResult& job = result.jobs[i];
+    const EngineJob& job = result.jobs[i];
     const AnonymizationOutcome& outcome = job.outcome;
     if (!outcome.feasible) {
       ++infeasible;
