@@ -93,9 +93,12 @@ int main(int argc, char** argv) {
   // Export the release in the suppression format of Section 2: starred
   // cells are emitted as '*', which statistics packages read as missing
   // values. The outcome already carries the generalized view.
-  if (WriteReleaseCsv(coarse, *refined.generalized, output)) {
+  std::string write_error;
+  if (WriteReleaseCsv(coarse, *refined.generalized, output, &write_error)) {
     std::printf("\nWrote the l-diverse release (%zu QI-groups) to %s\n",
                 refined.partition.group_count(), output.c_str());
+  } else {
+    std::fprintf(stderr, "%s\n", write_error.c_str());
   }
 
   std::printf("\nPipeline summary: coarsening cut suppression from %.1f%% to %.1f%% of tuples.\n",

@@ -1,100 +1,55 @@
 #include "anonymity/release.h"
 
-#include <fstream>
-
 #include "common/csv.h"
-#include "common/failpoint.h"
 
 namespace ldv {
 
 bool WriteReleaseCsv(const Table& table, const GeneralizedTable& generalized,
-                     const std::string& path) {
-  failpoint::Injection injection;
-  if (failpoint::Check(failpoint::Site::kReleaseWrite, &injection)) return false;
-  std::ofstream out(path);
-  if (!out) return false;
-  const Schema& schema = table.schema();
-  for (std::size_t a = 0; a < schema.qi_count(); ++a) {
-    out << CsvEscapeCell(schema.qi(static_cast<AttrId>(a)).name) << ",";
-  }
-  out << CsvEscapeCell(schema.sensitive().name) << "\n";
-  for (GroupId g = 0; g < generalized.group_count(); ++g) {
-    const std::vector<Value>& sig = generalized.signature(g);
-    for (RowId r : generalized.rows(g)) {
-      for (std::size_t a = 0; a < sig.size(); ++a) {
-        if (IsStar(sig[a])) {
-          out << "*,";
-        } else {
-          out << DecodeCsvValue(schema.qi(static_cast<AttrId>(a)), sig[a]) << ",";
-        }
-      }
-      out << DecodeCsvValue(schema.sensitive(), table.sa(r)) << "\n";
+                     const std::string& path, std::string* error) {
+  return WriteOutputFile(path, failpoint::Site::kReleaseWrite, [&](std::ostream& out) {
+    const Schema& schema = table.schema();
+    for (std::size_t a = 0; a < schema.qi_count(); ++a) {
+      out << CsvEscapeCell(schema.qi(static_cast<AttrId>(a)).name) << ",";
     }
-  }
-  // Close before checking: a full disk behind the buffered stream only
-  // surfaces at flush/close time.
-  out.close();
-  return !out.fail();
+    out << CsvEscapeCell(schema.sensitive().name) << "\n";
+    for (GroupId g = 0; g < generalized.group_count(); ++g) {
+      const std::vector<Value>& sig = generalized.signature(g);
+      for (RowId r : generalized.rows(g)) {
+        for (std::size_t a = 0; a < sig.size(); ++a) {
+          if (IsStar(sig[a])) {
+            out << "*,";
+          } else {
+            out << DecodeCsvValue(schema.qi(static_cast<AttrId>(a)), sig[a]) << ",";
+          }
+        }
+        out << DecodeCsvValue(schema.sensitive(), table.sa(r)) << "\n";
+      }
+    }
+  }, error);
 }
-
-namespace {
-
-// Parses one cell back into a code: '*' maps to kStar, a dictionary-backed
-// attribute looks its label up, and a plain attribute parses a
-// non-negative integer below its domain size.
-bool ParseCell(const std::string& cell, const Attribute& attr, bool allow_star, Value* out) {
-  if (allow_star && cell == "*") {
-    *out = kStar;
-    return true;
-  }
-  if (cell.empty()) return false;
-  if (attr.has_dictionary()) {
-    const Value* code = attr.dictionary.Find(cell);
-    if (code == nullptr) return false;
-    *out = *code;
-    return true;
-  }
-  if (cell.size() > 10) return false;  // cannot be a Value code; avoids wrap
-  std::uint64_t v = 0;
-  for (char c : cell) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  if (v >= attr.domain_size) return false;
-  *out = static_cast<Value>(v);
-  return true;
-}
-
-}  // namespace
 
 std::optional<std::vector<ReleaseRow>> ReadReleaseCsv(const Schema& schema,
                                                       const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::string line;
-  if (!std::getline(in, line)) return std::nullopt;  // header
+  CsvReader reader(path, nullptr);
+  std::vector<std::string> cells;
+  if (!reader.ReadHeader(&cells)) return std::nullopt;
 
   std::vector<ReleaseRow> rows;
-  std::vector<std::string> cells;
-  while (std::getline(in, line)) {
-    if (IsBlankCsvLine(line)) continue;
-    SplitCsvLine(line, &cells);
+  while (reader.Next(&cells)) {
     if (cells.size() != schema.qi_count() + 1) return std::nullopt;
     ReleaseRow row;
+    row.qi.resize(schema.qi_count());
     for (std::size_t a = 0; a < schema.qi_count(); ++a) {
-      Value v;
-      if (!ParseCell(cells[a], schema.qi(static_cast<AttrId>(a)), /*allow_star=*/true, &v)) {
+      if (cells[a] == "*") {
+        row.qi[a] = kStar;
+      } else if (!ParseCsvValue(schema.qi(static_cast<AttrId>(a)), cells[a], &row.qi[a])) {
         return std::nullopt;
       }
-      row.qi.push_back(v);
     }
-    Value sa;
-    if (!ParseCell(cells.back(), schema.sensitive(), /*allow_star=*/false, &sa)) {
-      return std::nullopt;
-    }
-    row.sa = sa;
+    if (!ParseCsvValue(schema.sensitive(), cells.back(), &row.sa)) return std::nullopt;
     rows.push_back(std::move(row));
   }
+  if (reader.failed()) return std::nullopt;
   return rows;
 }
 

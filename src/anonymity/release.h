@@ -13,9 +13,10 @@ namespace ldv {
 /// tuple with starred attributes emitted as '*' (the missing-value
 /// convention off-the-shelf statistics packages understand, Section 2) and
 /// the SA value as its integer code. Rows are grouped by QI-group.
-/// Returns false on I/O failure.
+/// Returns false with `*error` set on I/O failure (failpoint site
+/// `release.write`).
 bool WriteReleaseCsv(const Table& table, const GeneralizedTable& generalized,
-                     const std::string& path);
+                     const std::string& path, std::string* error);
 
 /// One row of a parsed release.
 struct ReleaseRow {
@@ -26,7 +27,8 @@ struct ReleaseRow {
 
 /// Reads a release written by WriteReleaseCsv. Returns std::nullopt on I/O
 /// or parse failure (wrong column count, values outside the schema
-/// domains). Stars parse back to kStar.
+/// domains, a cell left inside an open quote, a read error). Stars parse
+/// back to kStar.
 std::optional<std::vector<ReleaseRow>> ReadReleaseCsv(const Schema& schema,
                                                       const std::string& path);
 

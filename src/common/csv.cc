@@ -46,26 +46,26 @@ bool IsPlaceholderName(const std::string& name, std::size_t index, bool is_sa) {
 // Validates the header row of a coded CSV against the schema: d+1 columns,
 // each named column matching its schema attribute (placeholders excepted).
 bool ValidateHeader(const Schema& schema, const std::vector<std::string>& header,
-                    const std::string& path, CsvError* error) {
+                    CsvReader* reader) {
   const std::size_t want = schema.qi_count() + 1;
   if (header.size() != want) {
-    SetError(error, path, 1, 0,
-             "header has " + std::to_string(header.size()) + " columns; schema " +
-                 schema.ToString() + " expects " + std::to_string(want) + " (QI attributes + SA)");
-    return false;
+    return reader->Fail(0, "header has " + std::to_string(header.size()) + " columns; schema " +
+                               schema.ToString() + " expects " + std::to_string(want) +
+                               " (QI attributes + SA)");
   }
   for (std::size_t i = 0; i < header.size(); ++i) {
     const bool is_sa = i + 1 == header.size();
     const std::string& want_name =
         is_sa ? schema.sensitive().name : schema.qi(static_cast<AttrId>(i)).name;
     if (header[i] == want_name || IsPlaceholderName(want_name, i, is_sa)) continue;
-    SetError(error, path, 1, i + 1,
-             "header column '" + header[i] + "' does not match schema attribute '" + want_name +
-                 "'");
-    return false;
+    return reader->Fail(i + 1, "header column '" + header[i] +
+                                   "' does not match schema attribute '" + want_name + "'");
   }
   return true;
 }
+
+constexpr const char* kUnterminatedQuote =
+    "unterminated quoted cell (quote opened but never closed before the end of the line or file)";
 
 }  // namespace
 
@@ -112,22 +112,64 @@ bool SplitCsvRecord(const std::string& line, std::vector<std::string>* cells,
   return !in_quotes;
 }
 
-void SplitCsvLine(const std::string& line, std::vector<std::string>* cells) {
-  SplitCsvRecord(line, cells, nullptr);
+CsvReader::CsvReader(const std::string& path, CsvError* error) : path_(path), error_(error) {}
+
+CsvReader::~CsvReader() = default;
+
+bool CsvReader::Fail(std::size_t column, std::string reason) {
+  failed_ = true;
+  SetError(error_, path_, line_, column, std::move(reason));
+  return false;
 }
 
-bool IsBlankCsvLine(const std::string& line) { return line.empty() || line == "\r"; }
+bool CsvReader::ReadHeader(std::vector<std::string>* header) {
+  in_ = std::make_unique<std::ifstream>(path_);
+  if (!*in_) return Fail(0, "cannot open file");
+  line_ = 1;
+  if (!std::getline(*in_, text_)) return Fail(0, "empty file (missing header row)");
+  std::size_t open_cell = 0;
+  if (!SplitCsvRecord(text_, header, &open_cell)) return Fail(open_cell, kUnterminatedQuote);
+  return true;
+}
 
-std::string CsvEscapeCell(const std::string& cell) {
-  bool needs_quotes = false;
-  for (char c : cell) {
-    if (c == ',' || c == '"') {
-      needs_quotes = true;
-      break;
+bool CsvReader::Next(std::vector<std::string>* cells) {
+  while (std::getline(*in_, text_)) {
+    ++line_;
+    failpoint::Injection injection;
+    if (failpoint::Check(failpoint::Site::kCsvRead, &injection)) {
+      return Fail(0, failpoint::Describe(failpoint::Site::kCsvRead, injection, "read failed"));
     }
+    if (text_.empty() || text_ == "\r") continue;  // blank, or a bare CRLF carriage return
+    std::size_t open_cell = 0;
+    if (!SplitCsvRecord(text_, cells, &open_cell)) return Fail(open_cell, kUnterminatedQuote);
+    return true;
   }
-  if (!cell.empty() && (cell.front() == ' ' || cell.back() == ' ')) needs_quotes = true;
-  if (!needs_quotes) return cell;
+  // getline's eof and a mid-file read error look identical without this
+  // check: a truncated table would silently pass as a complete one.
+  if (in_->bad()) return Fail(0, std::string("read failed: ") + std::strerror(errno));
+  return false;
+}
+
+bool WriteOutputFile(const std::string& path, failpoint::Site site,
+                     const std::function<void(std::ostream&)>& body, std::string* error) {
+  failpoint::Injection injection;
+  if (failpoint::Check(site, &injection)) {
+    *error = failpoint::Describe(site, injection, "cannot write '" + path + "'");
+    return false;
+  }
+  std::ofstream out(path);
+  if (out) body(out);
+  // Close before checking: some failures (e.g. a full disk behind a
+  // buffered stream) only surface at flush/close time.
+  out.close();
+  if (out.fail()) {
+    *error = "cannot write '" + path + "'";
+    return false;
+  }
+  return true;
+}
+
+std::string CsvQuoteCell(const std::string& cell) {
   std::string quoted = "\"";
   for (char c : cell) {
     if (c == '"') {
@@ -140,82 +182,70 @@ std::string CsvEscapeCell(const std::string& cell) {
   return quoted;
 }
 
+std::string CsvEscapeCell(const std::string& cell) {
+  bool needs_quotes = false;
+  for (char c : cell) {
+    if (c == ',' || c == '"') {
+      needs_quotes = true;
+      break;
+    }
+  }
+  if (!cell.empty() && (cell.front() == ' ' || cell.back() == ' ')) needs_quotes = true;
+  return needs_quotes ? CsvQuoteCell(cell) : cell;
+}
+
 std::string DecodeCsvValue(const Attribute& attr, Value v) {
   if (attr.has_dictionary()) return CsvEscapeCell(attr.dictionary.label(v));
   return std::to_string(v);
 }
 
-bool WriteTableCsv(const Table& table, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
-  const Schema& schema = table.schema();
-  for (std::size_t i = 0; i < schema.qi_count(); ++i) {
-    out << CsvEscapeCell(schema.qi(static_cast<AttrId>(i)).name) << ",";
+bool ParseCsvValue(const Attribute& attr, const std::string& cell, Value* out) {
+  if (attr.has_dictionary()) {
+    const Value* code = attr.dictionary.Find(cell);
+    if (code == nullptr) return false;
+    *out = *code;
+    return true;
   }
-  out << CsvEscapeCell(schema.sensitive().name) << "\n";
-  for (RowId r = 0; r < table.size(); ++r) {
-    for (AttrId a = 0; a < table.qi_count(); ++a) out << table.qi(r, a) << ",";
-    out << table.sa(r) << "\n";
-  }
-  return static_cast<bool>(out);
+  std::uint64_t value = 0;
+  if (!ParseUintCell(cell, &value) || value >= attr.domain_size) return false;
+  *out = static_cast<Value>(value);
+  return true;
+}
+
+bool WriteTableCsv(const Table& table, const std::string& path, std::string* error) {
+  return WriteOutputFile(path, failpoint::Site::kReportWrite, [&table](std::ostream& out) {
+    const Schema& schema = table.schema();
+    for (std::size_t i = 0; i < schema.qi_count(); ++i) {
+      out << CsvEscapeCell(schema.qi(static_cast<AttrId>(i)).name) << ",";
+    }
+    out << CsvEscapeCell(schema.sensitive().name) << "\n";
+    for (RowId r = 0; r < table.size(); ++r) {
+      for (AttrId a = 0; a < table.qi_count(); ++a) out << table.qi(r, a) << ",";
+      out << table.sa(r) << "\n";
+    }
+  }, error);
 }
 
 namespace {
 
-// Splits the next line into cells with quote-state checking; false (with
-// `error` positioned at the open cell) when the line -- including a final
-// line truncated mid-quoted-field -- ends inside an open quote.
-bool SplitRecordChecked(const std::string& line, std::size_t line_number,
-                        const std::string& path, std::vector<std::string>* cells,
-                        CsvError* error) {
-  std::size_t open_cell = 0;
-  if (SplitCsvRecord(line, cells, &open_cell)) return true;
-  SetError(error, path, line_number, open_cell,
-           "unterminated quoted cell (quote opened but never closed before the end of the "
-           "line or file)");
-  return false;
-}
-
-// Streaming core of the coded readers: opens `path`, validates the header
-// against `schema`, then parses and domain-checks each data row and hands
-// it to row_fn(qi_values, sa). Both the in-RAM and the paged reader are
-// this loop plus a different sink, which is what keeps their outputs
+// Streaming core of the coded readers: validates the header against
+// `schema`, then parses and domain-checks each data row and hands it to
+// row_fn(qi_values, sa). Both the in-RAM and the paged reader are this
+// loop plus a different sink, which is what keeps their outputs
 // byte-identical.
 template <typename RowFn>
 bool StreamCodedCsv(const Schema& schema, const std::string& path, CsvError* error,
                     const RowFn& row_fn) {
-  std::ifstream in(path);
-  if (!in) {
-    SetError(error, path, 0, 0, "cannot open file");
-    return false;
-  }
-  std::string line;
-  if (!std::getline(in, line)) {
-    SetError(error, path, 1, 0, "empty file (missing header row)");
-    return false;
-  }
+  CsvReader reader(path, error);
   std::vector<std::string> cells;
-  if (!SplitRecordChecked(line, 1, path, &cells, error)) return false;
-  if (!ValidateHeader(schema, cells, path, error)) return false;
+  if (!reader.ReadHeader(&cells) || !ValidateHeader(schema, cells, &reader)) return false;
 
   const std::size_t d = schema.qi_count();
   std::vector<Value> qi(d);
-  std::size_t line_number = 1;
-  while (std::getline(in, line)) {
-    ++line_number;
-    failpoint::Injection injection;
-    if (failpoint::Check(failpoint::Site::kCsvRead, &injection)) {
-      SetError(error, path, line_number, 0,
-               failpoint::Describe(failpoint::Site::kCsvRead, injection, "read failed"));
-      return false;
-    }
-    if (IsBlankCsvLine(line)) continue;
-    if (!SplitRecordChecked(line, line_number, path, &cells, error)) return false;
+  while (reader.Next(&cells)) {
     if (cells.size() != d + 1) {
-      SetError(error, path, line_number, 0,
-               "row has " + std::to_string(cells.size()) + " cells; expected " +
-                   std::to_string(d + 1));
-      return false;
+      return reader.Fail(0, "row has " + std::to_string(cells.size()) + " cells; expected " +
+                                std::to_string(d + 1));
     }
     SaValue sa = 0;
     for (std::size_t i = 0; i <= d; ++i) {
@@ -223,16 +253,14 @@ bool StreamCodedCsv(const Schema& schema, const std::string& path, CsvError* err
       const Attribute& attr = is_sa ? schema.sensitive() : schema.qi(static_cast<AttrId>(i));
       std::uint64_t value = 0;
       if (!ParseUintCell(cells[i], &value)) {
-        SetError(error, path, line_number, i + 1,
-                 "cell '" + cells[i] + "' is not a non-negative integer code (is this a raw " +
-                     "string-valued CSV? load it with format 'raw')");
-        return false;
+        return reader.Fail(i + 1, "cell '" + cells[i] +
+                                      "' is not a non-negative integer code (is this a raw " +
+                                      "string-valued CSV? load it with format 'raw')");
       }
       if (value >= attr.domain_size) {
-        SetError(error, path, line_number, i + 1,
-                 "value " + std::to_string(value) + " is outside the domain [0, " +
-                     std::to_string(attr.domain_size) + ") of attribute '" + attr.name + "'");
-        return false;
+        return reader.Fail(i + 1, "value " + std::to_string(value) + " is outside the domain [0, " +
+                                      std::to_string(attr.domain_size) + ") of attribute '" +
+                                      attr.name + "'");
       }
       if (is_sa) {
         sa = static_cast<SaValue>(value);
@@ -242,14 +270,7 @@ bool StreamCodedCsv(const Schema& schema, const std::string& path, CsvError* err
     }
     row_fn(std::span<const Value>(qi), sa);
   }
-  if (in.bad()) {
-    // getline's eof and a mid-file read error look identical without this
-    // check: a truncated table would silently pass as a complete one.
-    SetError(error, path, line_number, 0,
-             std::string("read failed: ") + std::strerror(errno));
-    return false;
-  }
-  return true;
+  return !reader.failed();
 }
 
 // Streaming core of the raw readers: parses + validates the header, calls
@@ -261,36 +282,21 @@ bool StreamCodedCsv(const Schema& schema, const std::string& path, CsvError* err
 template <typename HeaderFn, typename RowFn>
 bool StreamRawCsv(const std::string& path, CsvError* error, const HeaderFn& on_header,
                   const RowFn& row_fn, Schema* out_schema) {
-  std::ifstream in(path);
-  if (!in) {
-    SetError(error, path, 0, 0, "cannot open file");
-    return false;
-  }
-  std::string line;
-  if (!std::getline(in, line)) {
-    SetError(error, path, 1, 0, "empty file (missing header row)");
-    return false;
-  }
+  CsvReader reader(path, error);
   std::vector<std::string> header;
-  if (!SplitRecordChecked(line, 1, path, &header, error)) return false;
+  if (!reader.ReadHeader(&header)) return false;
   if (header.size() < 2) {
-    SetError(error, path, 1, 0,
-             "header names " + std::to_string(header.size()) +
-                 " columns; raw ingestion needs at least one QI column plus the sensitive " +
-                 "attribute (last column)");
-    return false;
+    return reader.Fail(0, "header names " + std::to_string(header.size()) +
+                              " columns; raw ingestion needs at least one QI column plus the " +
+                              "sensitive attribute (last column)");
   }
   for (std::size_t i = 0; i < header.size(); ++i) {
-    if (header[i].empty()) {
-      SetError(error, path, 1, i + 1, "empty attribute name in header");
-      return false;
-    }
+    if (header[i].empty()) return reader.Fail(i + 1, "empty attribute name in header");
     for (std::size_t j = 0; j < i; ++j) {
       if (header[i] == header[j]) {
-        SetError(error, path, 1, i + 1,
-                 "duplicate attribute name '" + header[i] +
-                     "' in header (the dictionary sidecar keys labels by attribute name)");
-        return false;
+        return reader.Fail(i + 1, "duplicate attribute name '" + header[i] +
+                                      "' in header (the dictionary sidecar keys labels by " +
+                                      "attribute name)");
       }
     }
   }
@@ -300,35 +306,21 @@ bool StreamRawCsv(const std::string& path, CsvError* error, const HeaderFn& on_h
   std::vector<ValueDictionary> dictionaries(d + 1);
   std::vector<Value> qi(d);
   std::vector<std::string> cells;
-  std::size_t line_number = 1;
   std::size_t rows = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    failpoint::Injection injection;
-    if (failpoint::Check(failpoint::Site::kCsvRead, &injection)) {
-      SetError(error, path, line_number, 0,
-               failpoint::Describe(failpoint::Site::kCsvRead, injection, "read failed"));
-      return false;
-    }
-    if (IsBlankCsvLine(line)) continue;
-    if (!SplitRecordChecked(line, line_number, path, &cells, error)) return false;
+  while (reader.Next(&cells)) {
     if (cells.size() != d + 1) {
-      SetError(error, path, line_number, 0,
-               "row has " + std::to_string(cells.size()) + " cells; the header names " +
-                   std::to_string(d + 1));
-      return false;
+      return reader.Fail(0, "row has " + std::to_string(cells.size()) +
+                                " cells; the header names " + std::to_string(d + 1));
     }
     SaValue sa = 0;
     for (std::size_t i = 0; i <= d; ++i) {
       if (cells[i].empty()) {
-        SetError(error, path, line_number, i + 1,
-                 "empty cell (labels must be non-empty under attribute '" + header[i] + "')");
-        return false;
+        return reader.Fail(i + 1, "empty cell (labels must be non-empty under attribute '" +
+                                      header[i] + "')");
       }
       if (cells[i] == "*") {
-        SetError(error, path, line_number, i + 1,
-                 "the label '*' is reserved for the suppression marker releases use");
-        return false;
+        return reader.Fail(i + 1,
+                           "the label '*' is reserved for the suppression marker releases use");
       }
       Value code = dictionaries[i].GetOrAdd(cells[i]);
       if (i < d) {
@@ -340,15 +332,8 @@ bool StreamRawCsv(const std::string& path, CsvError* error, const HeaderFn& on_h
     row_fn(std::span<const Value>(qi), sa);
     ++rows;
   }
-  if (in.bad()) {
-    SetError(error, path, line_number, 0,
-             std::string("read failed: ") + std::strerror(errno));
-    return false;
-  }
-  if (rows == 0) {
-    SetError(error, path, line_number, 0, "no data rows after the header");
-    return false;
-  }
+  if (reader.failed()) return false;
+  if (rows == 0) return reader.Fail(0, "no data rows after the header");
 
   std::vector<Attribute> qi_attributes(d);
   for (std::size_t i = 0; i < d; ++i) {
@@ -441,21 +426,20 @@ std::unique_ptr<PagedTable> ReadRawTableCsvPaged(const std::string& path,
   return table;
 }
 
-bool WriteDictionaryCsv(const Schema& schema, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << "attribute,code,label\n";
-  auto write_attribute = [&out](const Attribute& attr) {
-    for (Value code = 0; code < attr.dictionary.size(); ++code) {
-      out << CsvEscapeCell(attr.name) << "," << code << ","
-          << CsvEscapeCell(attr.dictionary.label(code)) << "\n";
+bool WriteDictionaryCsv(const Schema& schema, const std::string& path, std::string* error) {
+  return WriteOutputFile(path, failpoint::Site::kReportWrite, [&schema](std::ostream& out) {
+    out << "attribute,code,label\n";
+    auto write_attribute = [&out](const Attribute& attr) {
+      for (Value code = 0; code < attr.dictionary.size(); ++code) {
+        out << CsvEscapeCell(attr.name) << "," << code << ","
+            << CsvEscapeCell(attr.dictionary.label(code)) << "\n";
+      }
+    };
+    for (std::size_t a = 0; a < schema.qi_count(); ++a) {
+      write_attribute(schema.qi(static_cast<AttrId>(a)));
     }
-  };
-  for (std::size_t a = 0; a < schema.qi_count(); ++a) {
-    write_attribute(schema.qi(static_cast<AttrId>(a)));
-  }
-  write_attribute(schema.sensitive());
-  return static_cast<bool>(out);
+    write_attribute(schema.sensitive());
+  }, error);
 }
 
 }  // namespace ldv

@@ -1,11 +1,14 @@
 #ifndef LDIV_COMMON_CSV_H_
 #define LDIV_COMMON_CSV_H_
 
+#include <functional>
+#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "common/paged_column.h"
 #include "common/table.h"
 
@@ -32,22 +35,65 @@ struct CsvError {
 /// trailing carriage return (CRLF files saved on Windows) is stripped
 /// before splitting so it can never leak into the last cell's label.
 /// Embedded newlines are not supported -- ingestion is line-oriented.
-/// A quote left open at the end of the line is silently treated as
-/// closed; readers use SplitCsvRecord to reject that case instead.
-void SplitCsvLine(const std::string& line, std::vector<std::string>* cells);
-
-/// SplitCsvLine with quote-state checking: returns false when the line
-/// (or the file's final unterminated chunk) ends inside an open quoted
-/// cell, filling `open_cell` (when non-null) with the 1-based index of
-/// the offending cell. The cells parsed so far are still delivered. All
-/// ingestion goes through this so a truncated quoted field surfaces a
-/// positioned CsvError instead of EOF-succeeding with a mangled label.
+/// Returns false when the line (or the file's final unterminated chunk)
+/// ends inside an open quoted cell, filling `open_cell` (when non-null)
+/// with the 1-based index of the offending cell; the cells parsed so far
+/// are still delivered.
 bool SplitCsvRecord(const std::string& line, std::vector<std::string>* cells,
                     std::size_t* open_cell);
 
-/// True when the line holds no cells at all: empty, or a bare carriage
-/// return left behind by CRLF line endings. Readers skip such lines.
-bool IsBlankCsvLine(const std::string& line);
+/// The one line reader behind every CSV file ldiv reads (coded and raw
+/// tables, in RAM or paged, releases, and format detection). It opens
+/// the file, splits the header, skips blank lines, checks the `csv.read`
+/// failpoint once per data line, rejects a line (or a truncated final
+/// chunk) that ends inside an open quote, and tells a mid-file read error
+/// apart from the end of the file -- every failure a positioned CsvError.
+///
+///   CsvReader reader(path, error);
+///   if (!reader.ReadHeader(&header)) return false;
+///   while (reader.Next(&cells)) { ...; return reader.Fail(column, why); }
+///   if (reader.failed()) return false;
+class CsvReader {
+ public:
+  /// `error` (may be null) receives the first failure.
+  CsvReader(const std::string& path, CsvError* error);
+  ~CsvReader();
+
+  /// Opens the file and splits its header row into `*header`; false when
+  /// the file cannot be opened, is empty, or its header is malformed.
+  bool ReadHeader(std::vector<std::string>* header);
+
+  /// Splits the next non-blank data line into `*cells`. False at the end
+  /// of the file and on failure; failed() tells the two apart.
+  bool Next(std::vector<std::string>* cells);
+
+  /// Records a failure at the current line (`column` 0 = the whole line)
+  /// and returns false, so a row check can `return reader.Fail(...)`.
+  bool Fail(std::size_t column, std::string reason);
+
+  bool failed() const { return failed_; }
+
+ private:
+  std::string path_;
+  CsvError* error_;
+  std::unique_ptr<std::istream> in_;
+  std::string text_;
+  std::size_t line_ = 0;  // 1-based number of the last line read; the header is 1
+  bool failed_ = false;
+};
+
+/// The one writer behind every file ldiv writes (coded tables, dictionary
+/// sidecars, releases, the Anatomy pair, JSON and metrics reports). Checks
+/// `site`'s failpoint once, opens `path`, streams `body` into it, and
+/// closes before checking, since a full disk behind a buffered stream
+/// only surfaces at flush/close time. False with `*error` set to
+/// "cannot write '<path>'" (plus the errno and site when a failpoint
+/// fired) on failure.
+bool WriteOutputFile(const std::string& path, failpoint::Site site,
+                     const std::function<void(std::ostream&)>& body, std::string* error);
+
+/// Quotes `cell` for CSV output unconditionally, doubling inner quotes.
+std::string CsvQuoteCell(const std::string& cell);
 
 /// Quotes `cell` for CSV output when it contains a comma, a quote, or
 /// leading/trailing whitespace; returns it verbatim otherwise.
@@ -59,10 +105,16 @@ std::string CsvEscapeCell(const std::string& cell);
 /// the Anatomy pair decode identically.
 std::string DecodeCsvValue(const Attribute& attr, Value v);
 
+/// The inverse of DecodeCsvValue on one parsed cell: a dictionary-backed
+/// attribute looks its label up, a plain one parses a non-negative
+/// integer below its domain size. False when the cell is neither.
+bool ParseCsvValue(const Attribute& attr, const std::string& cell, Value* out);
+
 /// Writes `table` as CSV with a header row (QI attribute names then the SA
 /// name). Values are written as their integer codes; suppression markers
-/// never appear in raw microdata. Returns false on I/O failure.
-bool WriteTableCsv(const Table& table, const std::string& path);
+/// never appear in raw microdata. Returns false with `*error` set on I/O
+/// failure (failpoint site `report.write`).
+bool WriteTableCsv(const Table& table, const std::string& path, std::string* error);
 
 /// Reads a coded CSV produced by WriteTableCsv back into a table with the
 /// given schema. The header row is validated against the schema: the
@@ -107,8 +159,9 @@ std::unique_ptr<PagedTable> ReadRawTableCsvPaged(const std::string& path,
 /// (attribute, code, label), QI attributes first, then the sensitive
 /// attribute -- the sidecar the CLI writes next to a decoded release so
 /// codes remain machine-recoverable. Attributes without a dictionary are
-/// skipped. Returns false on I/O failure.
-bool WriteDictionaryCsv(const Schema& schema, const std::string& path);
+/// skipped. Returns false with `*error` set on I/O failure (failpoint site
+/// `report.write`).
+bool WriteDictionaryCsv(const Schema& schema, const std::string& path, std::string* error);
 
 }  // namespace ldv
 

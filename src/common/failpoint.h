@@ -39,9 +39,9 @@ enum class Site : int {
   kPageCacheRead,    ///< PageCache::Pin miss / refault read
   kExtSortSpill,     ///< ExternalSorter sorted-run spill
   kExtSortMerge,     ///< ExternalSorter merge refill read
-  kCsvRead,          ///< streaming CSV ingestion row loop
-  kReportWrite,      ///< report/metrics/sidecar/anatomy writers
-  kReleaseWrite,     ///< generalized release CSV writer
+  kCsvRead,          ///< CsvReader: every data line of every CSV read
+  kReportWrite,      ///< JSON report, metrics CSV, dictionary sidecar, emit-input
+  kReleaseWrite,     ///< suppression release and both Anatomy files
   kDaemonAccept,     ///< daemon accept loop
   kDaemonRead,       ///< frame read (daemon or client side)
   kDaemonWrite,      ///< frame write (daemon or client side)

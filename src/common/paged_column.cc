@@ -154,12 +154,6 @@ bool ColumnCursor::Next(std::span<const std::uint32_t>* span) {
   return true;
 }
 
-const Table& PagedTable::resident() const {
-  LDIV_CHECK(resident_.has_value())
-      << "paged table was built without map_on_seal; no resident view";
-  return *resident_;
-}
-
 std::vector<std::uint32_t> PagedTable::SaHistogramCounts() const {
   std::vector<std::uint32_t> counts(schema_.sa_domain_size(), 0);
   ColumnCursor cursor(*sa_column_);
@@ -264,24 +258,19 @@ std::unique_ptr<PagedTable> PagedTableBuilder::Finish(Schema schema, std::string
                   " outside domain of size " + std::to_string(schema.sa_domain_size()));
     }
   }
-  std::unique_ptr<PagedTable> table(new PagedTable());
-  table->schema_ = std::move(schema);
+  std::vector<std::span<const Value>> qi_spans;
+  qi_spans.reserve(qi_columns_.size());
+  for (auto& column : qi_columns_) {
+    if (!column->Map(error)) return nullptr;
+    qi_spans.push_back(column->mapping());
+  }
+  if (!sa_column_->Map(error)) return nullptr;
+  std::unique_ptr<PagedTable> table(
+      new PagedTable(std::move(schema), std::move(qi_spans), sa_column_->mapping()));
   table->rows_ = rows_;
   table->cache_ = std::move(cache_);
   table->qi_columns_ = std::move(qi_columns_);
   table->sa_column_ = std::move(sa_column_);
-  if (options_.map_on_seal) {
-    std::vector<std::span<const Value>> qi_spans;
-    qi_spans.reserve(table->qi_columns_.size());
-    for (auto& column : table->qi_columns_) {
-      if (!column->Map(error)) return nullptr;
-      qi_spans.push_back(column->mapping());
-    }
-    if (!table->sa_column_->Map(error)) return nullptr;
-    table->resident_ =
-        Table::FromBorrowedColumns(table->schema_, std::move(qi_spans),
-                                   table->sa_column_->mapping());
-  }
   return table;
 }
 

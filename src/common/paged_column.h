@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -114,12 +113,12 @@ class ColumnCursor {
 };
 
 /// A sealed out-of-core table: one PagedColumn per QI attribute plus the
-/// SA column, sharing one bounded PageCache. When built with map_on_seal
-/// (the production path), resident() exposes the mappings as a borrowed
-/// Table, so every solver and the shared post-processing run on it
-/// unchanged -- the OS pages column bytes in and out beneath the fixed
-/// virtual mapping, while the explicitly budgeted structures (cache
-/// frames, staging pages, external-sort runs) stay within MemoryBudget.
+/// SA column, sharing one bounded PageCache. resident() exposes the sealed
+/// mappings as a borrowed Table, so every solver and the shared
+/// post-processing run on it unchanged -- the OS pages column bytes in and
+/// out beneath the fixed virtual mapping, while the explicitly budgeted
+/// structures (cache frames, staging pages, external-sort runs) stay
+/// within MemoryBudget.
 class PagedTable {
  public:
   const Schema& schema() const { return schema_; }
@@ -131,23 +130,25 @@ class PagedTable {
 
   PageCache& cache() const { return *cache_; }
 
-  /// The borrowed in-RAM view over the sealed mappings (map_on_seal only).
-  const Table& resident() const;
-  bool has_resident() const { return resident_.has_value(); }
+  /// The borrowed in-RAM view over the sealed mappings.
+  const Table& resident() const { return resident_; }
 
   /// Streaming SA histogram via ColumnCursor spans (works unmapped).
   std::vector<std::uint32_t> SaHistogramCounts() const;
 
  private:
   friend class PagedTableBuilder;
-  PagedTable() = default;
+  PagedTable(Schema schema, std::vector<std::span<const Value>> qi_spans,
+             std::span<const SaValue> sa_span)
+      : schema_(std::move(schema)),
+        resident_(Table::FromBorrowedColumns(schema_, std::move(qi_spans), sa_span)) {}
 
   Schema schema_;
+  Table resident_;  // borrows the columns' mappings; declared after schema_
   std::uint64_t rows_ = 0;
   std::unique_ptr<PageCache> cache_;
   std::vector<std::unique_ptr<PagedColumn>> qi_columns_;
   std::unique_ptr<PagedColumn> sa_column_;
-  std::optional<Table> resident_;
 };
 
 /// Streaming writer for a PagedTable: rows (or column chunks) go straight
@@ -163,7 +164,6 @@ class PagedTableBuilder {
     // e.g. GlobalMemoryBudgetShared(); may be null. Shared so the built
     // table can outlive the budget epoch it was ingested under.
     std::shared_ptr<MemoryBudget> budget;
-    bool map_on_seal = true;  // tests disable to force cache reads
   };
 
   /// Creates the spill files; null + `error` when temp space is missing.
@@ -181,9 +181,9 @@ class PagedTableBuilder {
   void AppendQiChunk(AttrId attr, const Value* values, std::size_t count);
   void AppendSaChunk(const SaValue* values, std::size_t count);
 
-  /// Validates against `schema`, seals (and maps, per options) every
-  /// column, and returns the finished table; null + `error` on
-  /// out-of-domain values, ragged columns, or mapping failure.
+  /// Validates against `schema`, seals and maps every column, and returns
+  /// the finished table; null + `error` on out-of-domain values, ragged
+  /// columns, or mapping failure.
   std::unique_ptr<PagedTable> Finish(Schema schema, std::string* error);
 
  private:

@@ -1,7 +1,6 @@
 #include "data/dataset.h"
 
 #include <cctype>
-#include <fstream>
 #include <string_view>
 
 #include "common/csv.h"
@@ -56,26 +55,17 @@ std::string_view CsvFormatName(CsvFormat format) {
 }
 
 std::optional<CsvFormat> DetectCsvFormat(const std::string& path, std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    *error = "cannot open '" + path + "'";
-    return std::nullopt;
-  }
-  std::string line;
-  if (!std::getline(in, line)) {
-    *error = "'" + path + "' is empty (missing header row)";
-    return std::nullopt;
-  }
-  while (std::getline(in, line)) {
-    if (IsBlankCsvLine(line)) continue;
-    std::vector<std::string> cells;
-    SplitCsvLine(line, &cells);
+  CsvError csv_error;
+  CsvReader reader(path, &csv_error);
+  std::vector<std::string> cells;
+  if (reader.ReadHeader(&cells) && reader.Next(&cells)) {
     for (const std::string& cell : cells) {
       if (!IsIntegerCell(cell)) return CsvFormat::kRaw;
     }
     return CsvFormat::kCoded;
   }
-  *error = "'" + path + "' has no data rows after the header";
+  if (!reader.failed()) reader.Fail(0, "no data rows after the header");
+  *error = csv_error.ToString();
   return std::nullopt;
 }
 

@@ -28,7 +28,8 @@ std::string_view CsvFormatName(CsvFormat format);
 
 /// Sniffs the file's format: kCoded when every cell of the first data row
 /// parses as a non-negative integer, kRaw otherwise. Returns std::nullopt
-/// (with `*error` set) when the file cannot be opened or has no data row.
+/// (with `*error` set to the positioned CsvError) when the file cannot be
+/// read or has no well-formed data row.
 std::optional<CsvFormat> DetectCsvFormat(const std::string& path, std::string* error);
 
 /// The single kAuto resolution policy, shared by the CLI front-end and

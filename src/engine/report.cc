@@ -1,11 +1,9 @@
 #include "engine/report.h"
 
 #include <cstdio>
-#include <fstream>
 
 #include "anonymity/release.h"
 #include "common/csv.h"
-#include "common/failpoint.h"
 
 namespace ldv {
 
@@ -46,39 +44,6 @@ std::string FormatDouble(double value) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.9g", value);
   return buf;
-}
-
-// Quotes one CSV cell (provenance labels contain commas).
-std::string CsvQuote(const std::string& text) {
-  std::string quoted = "\"";
-  for (char c : text) {
-    if (c == '"') {
-      quoted += "\"\"";
-    } else {
-      quoted.push_back(c);
-    }
-  }
-  quoted += "\"";
-  return quoted;
-}
-
-bool WriteFile(const std::string& content, const std::string& path, std::string* error) {
-  failpoint::Injection injection;
-  if (failpoint::Check(failpoint::Site::kReportWrite, &injection)) {
-    *error = failpoint::Describe(failpoint::Site::kReportWrite, injection,
-                                 "cannot write '" + path + "'");
-    return false;
-  }
-  std::ofstream out(path);
-  if (out) out << content;
-  // Close before checking: some failures (e.g. a full disk behind a
-  // buffered stream) only surface at flush/close time.
-  out.close();
-  if (out.fail()) {
-    *error = "cannot write '" + path + "'";
-    return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -154,7 +119,7 @@ std::string RenderMetricsCsv(const JobResult& result, const ReportOptions& optio
     const AnonymizationOutcome& outcome = job.outcome;
     const EngineTable& input = *result.tables[job.spec.table_index];
     csv += std::to_string(i) + "," + std::to_string(job.spec.table_index) + ",";
-    csv += CsvQuote(input.source) + ",";
+    csv += CsvQuoteCell(input.source) + ",";
     csv += std::string(AlgorithmName(job.spec.algorithm)) + ",";
     csv += std::string(MethodologyName(outcome.methodology)) + ",";
     csv += std::to_string(job.spec.l) + ",";
@@ -179,25 +144,23 @@ std::string RenderMetricsCsv(const JobResult& result, const ReportOptions& optio
 
 bool WriteJsonReport(const JobResult& result, const std::string& path,
                      const ReportOptions& options, std::string* error) {
-  return WriteFile(RenderJsonReport(result, options), path, error);
+  return WriteOutputFile(path, failpoint::Site::kReportWrite, [&](std::ostream& out) {
+    out << RenderJsonReport(result, options);
+  }, error);
 }
 
 bool WriteMetricsCsv(const JobResult& result, const std::string& path,
                      const ReportOptions& options, std::string* error) {
-  return WriteFile(RenderMetricsCsv(result, options), path, error);
+  return WriteOutputFile(path, failpoint::Site::kReportWrite, [&](std::ostream& out) {
+    out << RenderMetricsCsv(result, options);
+  }, error);
 }
 
 bool WriteReleaseForOutcome(const Table& table, const AnonymizationOutcome& outcome,
                             const std::string& stem, std::string* error) {
   if (!outcome.feasible) return true;
-
   if (outcome.generalized != nullptr) {
-    std::string path = stem + ".csv";
-    if (!WriteReleaseCsv(table, *outcome.generalized, path)) {
-      *error = "cannot write '" + path + "'";
-      return false;
-    }
-    return true;
+    return WriteReleaseCsv(table, *outcome.generalized, stem + ".csv", error);
   }
 
   // Anatomy pair: exact QI values linked to the sensitive table only
@@ -205,30 +168,45 @@ bool WriteReleaseForOutcome(const Table& table, const AnonymizationOutcome& outc
   // backed attributes decode to their labels through the same
   // DecodeCsvValue as the suppression-view releases.
   const Schema& schema = table.schema();
-  std::string qit;
-  for (std::size_t a = 0; a < schema.qi_count(); ++a) {
-    qit += CsvEscapeCell(schema.qi(static_cast<AttrId>(a)).name) + ",";
-  }
-  qit += "Bucket\n";
-  std::string st = "Bucket," + CsvEscapeCell(schema.sensitive().name) + ",Count\n";
-  std::vector<std::uint32_t> sa_counts(schema.sa_domain_size(), 0);
   const Partition& buckets = outcome.partition;
-  for (GroupId g = 0; g < buckets.group_count(); ++g) {
-    for (RowId row : buckets.group(g)) {
-      for (AttrId a = 0; a < table.qi_count(); ++a) {
-        qit += DecodeCsvValue(schema.qi(a), table.qi(row, a)) + ",";
+  // Each row is assembled in one reused buffer and written with a single
+  // stream call: per-cell stream insertions made 1M-row Anatomy jobs
+  // measurably slower than the string building they replace.
+  std::string line;
+  auto write_qit = [&](std::ostream& out) {
+    for (std::size_t a = 0; a < schema.qi_count(); ++a) {
+      out << CsvEscapeCell(schema.qi(static_cast<AttrId>(a)).name) << ",";
+    }
+    out << "Bucket\n";
+    for (GroupId g = 0; g < buckets.group_count(); ++g) {
+      for (RowId row : buckets.group(g)) {
+        line.clear();
+        for (AttrId a = 0; a < table.qi_count(); ++a) {
+          line += DecodeCsvValue(schema.qi(a), table.qi(row, a));
+          line += ',';
+        }
+        line += std::to_string(g);
+        line += '\n';
+        out << line;
       }
-      qit += std::to_string(g) + "\n";
-      ++sa_counts[table.sa(row)];
     }
-    for (SaValue v = 0; v < sa_counts.size(); ++v) {
-      if (sa_counts[v] == 0) continue;
-      st += std::to_string(g) + "," + DecodeCsvValue(schema.sensitive(), v) + "," +
-            std::to_string(sa_counts[v]) + "\n";
-      sa_counts[v] = 0;
+  };
+  auto write_st = [&](std::ostream& out) {
+    out << "Bucket," << CsvEscapeCell(schema.sensitive().name) << ",Count\n";
+    std::vector<std::uint32_t> sa_counts(schema.sa_domain_size(), 0);
+    for (GroupId g = 0; g < buckets.group_count(); ++g) {
+      for (RowId row : buckets.group(g)) ++sa_counts[table.sa(row)];
+      for (SaValue v = 0; v < sa_counts.size(); ++v) {
+        if (sa_counts[v] == 0) continue;
+        line = std::to_string(g) + "," + DecodeCsvValue(schema.sensitive(), v) + "," +
+               std::to_string(sa_counts[v]) + "\n";
+        out << line;
+        sa_counts[v] = 0;
+      }
     }
-  }
-  return WriteFile(qit, stem + ".csv", error) && WriteFile(st, stem + "_sa.csv", error);
+  };
+  return WriteOutputFile(stem + ".csv", failpoint::Site::kReleaseWrite, write_qit, error) &&
+         WriteOutputFile(stem + "_sa.csv", failpoint::Site::kReleaseWrite, write_st, error);
 }
 
 std::optional<PipelineError> WriteJobOutputs(const JobSpec& spec, const JobResult& result,
@@ -237,8 +215,8 @@ std::optional<PipelineError> WriteJobOutputs(const JobSpec& spec, const JobResul
   if (!spec.emit_input.empty()) {
     // ResolveJobSpec guarantees a single-table grid when emit_input is
     // set, so tables.front() is the one input.
-    if (!WriteTableCsv(result.tables.front()->table, spec.emit_input)) {
-      return IoError("cannot write '" + spec.emit_input + "'");
+    if (!WriteTableCsv(result.tables.front()->table, spec.emit_input, &error)) {
+      return IoError(error);
     }
     if (notices != nullptr) *notices += "wrote input table to " + spec.emit_input + "\n";
   }
@@ -247,8 +225,8 @@ std::optional<PipelineError> WriteJobOutputs(const JobSpec& spec, const JobResul
   // the releases so the codes stay machine-recoverable.
   if (!result.tables.empty() && result.tables.front()->table.schema().has_dictionaries()) {
     std::string dict_path = spec.out + "_dict.csv";
-    if (!WriteDictionaryCsv(result.tables.front()->table.schema(), dict_path)) {
-      return IoError("cannot write '" + dict_path + "'");
+    if (!WriteDictionaryCsv(result.tables.front()->table.schema(), dict_path, &error)) {
+      return IoError(error);
     }
     if (notices != nullptr) *notices += "wrote value dictionaries to " + dict_path + "\n";
   }

@@ -121,7 +121,8 @@ TEST(ArtifactCacheEngine, CsvContentChangeInvalidatesArtifacts) {
   Rng rng(7);
   Table table = testutil::RandomEligibleTable(rng, 60, {6, 4}, 5, 2);
   const std::string path = testing::TempDir() + "artifact_input.csv";
-  ASSERT_TRUE(WriteTableCsv(table, path));
+  std::string write_error;
+  ASSERT_TRUE(WriteTableCsv(table, path, &write_error)) << write_error;
 
   Engine engine;
   JobSpec spec;
@@ -146,7 +147,7 @@ TEST(ArtifactCacheEngine, CsvContentChangeInvalidatesArtifacts) {
   // served for the new data.
   Rng changed_rng(8);
   Table changed = testutil::RandomEligibleTable(changed_rng, 80, {6, 4}, 5, 2);
-  ASSERT_TRUE(WriteTableCsv(changed, path));
+  ASSERT_TRUE(WriteTableCsv(changed, path, &write_error)) << write_error;
   Expected<JobResult, PipelineError> third = engine.Run(spec);
   ASSERT_TRUE(third.ok()) << third.error().message;
   EXPECT_EQ(third->artifact_hits, 0u) << "a changed CSV must not reuse stale artifacts";

@@ -68,7 +68,8 @@ TEST(CliPipeline, CsvInputRoundTripsThroughRelease) {
   Rng rng(7);
   Table table = testutil::RandomEligibleTable(rng, 300, {12, 6, 4}, 8, 3);
   std::string input_path = testing::TempDir() + "cli_pipeline_input.csv";
-  ASSERT_TRUE(WriteTableCsv(table, input_path));
+  std::string write_error;
+  ASSERT_TRUE(WriteTableCsv(table, input_path, &write_error)) << write_error;
 
   CliOptions options;
   options.input = input_path;

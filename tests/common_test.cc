@@ -208,7 +208,8 @@ TEST(Zipf, ZeroSkewIsUniform) {
 TEST(Csv, RoundTrip) {
   Table table = testutil::PaperTable1();
   std::string path = ::testing::TempDir() + "/ldv_csv_roundtrip.csv";
-  ASSERT_TRUE(WriteTableCsv(table, path));
+  std::string error;
+  ASSERT_TRUE(WriteTableCsv(table, path, &error)) << error;
   auto loaded = ReadTableCsv(table.schema(), path);
   ASSERT_TRUE(loaded.has_value());
   ASSERT_EQ(loaded->size(), table.size());

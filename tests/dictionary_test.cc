@@ -33,6 +33,39 @@ std::string ReadFile(const std::string& path) {
   return content.str();
 }
 
+// The paged twin of a failed in-RAM load: `load_paged` must fail with the
+// same line, column and reason, and leave no spill file behind.
+template <typename LoadPaged>
+void ExpectPagedLoadFailsAlike(const CsvError& expected, const LoadPaged& load_paged) {
+  const std::size_t spill_files = SpillFile::LiveCount();
+  CsvError error;
+  EXPECT_EQ(load_paged(&error), nullptr);
+  EXPECT_EQ(error.line, expected.line);
+  EXPECT_EQ(error.column, expected.column);
+  EXPECT_EQ(error.reason, expected.reason);
+  EXPECT_EQ(SpillFile::LiveCount(), spill_files);
+}
+
+// Loads `path` as a raw CSV in RAM and paged; both must fail alike.
+CsvError RawLoadError(const std::string& path) {
+  CsvError error;
+  EXPECT_FALSE(ReadRawTableCsv(path, &error).has_value());
+  ExpectPagedLoadFailsAlike(error, [&path](CsvError* paged_error) {
+    return ReadRawTableCsvPaged(path, {}, paged_error);
+  });
+  return error;
+}
+
+// Loads `path` as a coded CSV in RAM and paged; both must fail alike.
+CsvError CodedLoadError(const Schema& schema, const std::string& path) {
+  CsvError error;
+  EXPECT_FALSE(ReadTableCsv(schema, path, &error).has_value());
+  ExpectPagedLoadFailsAlike(error, [&schema, &path](CsvError* paged_error) {
+    return ReadTableCsvPaged(schema, path, {}, paged_error);
+  });
+  return error;
+}
+
 TEST(ValueDictionary, InsertionOrderedCodes) {
   ValueDictionary dict;
   EXPECT_TRUE(dict.empty());
@@ -114,23 +147,23 @@ TEST(RawCsv, StructuredErrorsCarryLineAndColumn) {
   CsvError error;
   // Ragged row.
   std::string ragged = WriteTempFile("raw_ragged.csv", "A,B\nx,y\nonly_one_cell\n");
-  EXPECT_FALSE(ReadRawTableCsv(ragged, &error).has_value());
+  error = RawLoadError(ragged);
   EXPECT_EQ(error.line, 3u);
   EXPECT_NE(error.ToString().find(ragged + ":3"), std::string::npos) << error.ToString();
   std::remove(ragged.c_str());
   // Empty cell.
   std::string empty_cell = WriteTempFile("raw_empty_cell.csv", "A,B\nx,\n");
-  EXPECT_FALSE(ReadRawTableCsv(empty_cell, &error).has_value());
+  error = RawLoadError(empty_cell);
   EXPECT_EQ(error.line, 2u);
   EXPECT_EQ(error.column, 2u);
   std::remove(empty_cell.c_str());
   // No data rows.
   std::string header_only = WriteTempFile("raw_header_only.csv", "A,B\n");
-  EXPECT_FALSE(ReadRawTableCsv(header_only, &error).has_value());
+  error = RawLoadError(header_only);
   EXPECT_NE(error.reason.find("no data rows"), std::string::npos);
   std::remove(header_only.c_str());
   // Missing file.
-  EXPECT_FALSE(ReadRawTableCsv(testing::TempDir() + "raw_nope.csv", &error).has_value());
+  error = RawLoadError(testing::TempDir() + "raw_nope.csv");
   EXPECT_NE(error.reason.find("cannot open"), std::string::npos);
 }
 
@@ -142,7 +175,7 @@ TEST(RawCsv, TruncatedQuotedCellIsAPositionedErrorNotEofSuccess) {
   CsvError error;
   std::string truncated =
       WriteTempFile("raw_truncated.csv", "City,Disease\nLisbon,flu\nPorto,\"ast");
-  EXPECT_FALSE(ReadRawTableCsv(truncated, &error).has_value());
+  error = RawLoadError(truncated);
   EXPECT_EQ(error.line, 3u);
   EXPECT_EQ(error.column, 2u);
   EXPECT_NE(error.reason.find("unterminated quoted cell"), std::string::npos)
@@ -153,7 +186,7 @@ TEST(RawCsv, TruncatedQuotedCellIsAPositionedErrorNotEofSuccess) {
   // across newlines, so an unclosed quote on any line is an error.
   std::string mid_file =
       WriteTempFile("raw_midquote.csv", "City,Disease\n\"Lisbon,flu\nPorto,asthma\n");
-  EXPECT_FALSE(ReadRawTableCsv(mid_file, &error).has_value());
+  error = RawLoadError(mid_file);
   EXPECT_EQ(error.line, 2u);
   EXPECT_EQ(error.column, 1u);
   std::remove(mid_file.c_str());
@@ -161,7 +194,7 @@ TEST(RawCsv, TruncatedQuotedCellIsAPositionedErrorNotEofSuccess) {
   // The coded reader rejects the same shape.
   Schema schema = testutil::MakeSchema({5}, 3);
   std::string coded = WriteTempFile("coded_truncated.csv", "A1,B\n1,\"0");
-  EXPECT_FALSE(ReadTableCsv(schema, coded, &error).has_value());
+  error = CodedLoadError(schema, coded);
   EXPECT_EQ(error.line, 2u);
   EXPECT_EQ(error.column, 2u);
   EXPECT_NE(error.reason.find("unterminated"), std::string::npos);
@@ -183,13 +216,13 @@ TEST(CodedCsv, HeaderIsValidatedAgainstSchema) {
   CsvError error;
   // Wrong column count in the header.
   std::string short_header = WriteTempFile("coded_short.csv", "Age,Income\n1,0\n");
-  EXPECT_FALSE(ReadTableCsv(schema, short_header, &error).has_value());
+  error = CodedLoadError(schema, short_header);
   EXPECT_EQ(error.line, 1u);
   EXPECT_NE(error.reason.find("header"), std::string::npos) << error.ToString();
   std::remove(short_header.c_str());
   // Mismatched name, with its column position.
   std::string wrong_name = WriteTempFile("coded_wrong_name.csv", "Age,Sex,Income\n1,0,0\n");
-  EXPECT_FALSE(ReadTableCsv(schema, wrong_name, &error).has_value());
+  error = CodedLoadError(schema, wrong_name);
   EXPECT_EQ(error.line, 1u);
   EXPECT_EQ(error.column, 2u);
   EXPECT_NE(error.reason.find("Sex"), std::string::npos);
@@ -205,14 +238,14 @@ TEST(CodedCsv, CellErrorsCarryLineColumnAndReason) {
   Schema schema({Attribute{"Age", 5}}, Attribute{"Income", 3});
   CsvError error;
   std::string bad_cell = WriteTempFile("coded_bad_cell.csv", "Age,Income\n1,0\nyoung,0\n");
-  EXPECT_FALSE(ReadTableCsv(schema, bad_cell, &error).has_value());
+  error = CodedLoadError(schema, bad_cell);
   EXPECT_EQ(error.line, 3u);
   EXPECT_EQ(error.column, 1u);
   EXPECT_NE(error.reason.find("young"), std::string::npos);
   std::remove(bad_cell.c_str());
 
   std::string out_of_domain = WriteTempFile("coded_oob.csv", "Age,Income\n1,7\n");
-  EXPECT_FALSE(ReadTableCsv(schema, out_of_domain, &error).has_value());
+  error = CodedLoadError(schema, out_of_domain);
   EXPECT_EQ(error.line, 2u);
   EXPECT_EQ(error.column, 2u);
   EXPECT_NE(error.reason.find("[0, 3)"), std::string::npos) << error.ToString();
@@ -303,7 +336,8 @@ TEST(DictionaryCsv, SerializesAttributeCodeLabelRows) {
   std::optional<Table> table = ReadRawTableCsv(path, &csv_error);
   ASSERT_TRUE(table.has_value()) << csv_error.ToString();
   std::string dict_path = testing::TempDir() + "dict_sidecar_out.csv";
-  ASSERT_TRUE(WriteDictionaryCsv(table->schema(), dict_path));
+  std::string error;
+  ASSERT_TRUE(WriteDictionaryCsv(table->schema(), dict_path, &error)) << error;
   EXPECT_EQ(ReadFile(dict_path),
             "attribute,code,label\n"
             "City,0,Lisbon\n"

@@ -178,7 +178,8 @@ TEST(ResolveJobSpec, CsvInputNormalizesToASingleCellGrid) {
   Rng rng(3);
   Table table = testutil::RandomEligibleTable(rng, 40, {6, 4}, 5, 2);
   std::string path = testing::TempDir() + "engine_resolve_input.csv";
-  ASSERT_TRUE(WriteTableCsv(table, path));
+  std::string write_error;
+  ASSERT_TRUE(WriteTableCsv(table, path, &write_error)) << write_error;
 
   JobSpec spec;
   spec.input = path;
@@ -437,6 +438,22 @@ TEST(Engine, ExecuteWritesOutputsAndMapsInfeasibleToExitCode) {
     std::remove((spec.out + suffix).c_str());
   }
   SetThreadBudget(0);
+}
+
+TEST(Engine, ExecuteReportsAFullDiskUnderTheEmitInputCopy) {
+  // 20 rows fit the stream's buffer, so /dev/full's ENOSPC only surfaces
+  // when the file is closed: the write must be checked after the close.
+  Engine engine;
+  JobSpec spec = SyntheticSpec();
+  spec.ns = {20};
+  spec.algorithms = {Algorithm::kTp};
+  spec.timings = false;
+  spec.emit_input = "/dev/full";
+  spec.out = testing::TempDir() + "engine_full_disk_out";
+  Expected<ExecuteSummary, PipelineError> summary = engine.Execute(spec);
+  ASSERT_FALSE(summary.ok()) << "a full disk under --emit-input must not exit 0";
+  EXPECT_EQ(summary.error().code, PipelineErrorCode::kIo);
+  EXPECT_EQ(summary.error().message, "cannot write '/dev/full'");
 }
 
 }  // namespace

@@ -169,6 +169,13 @@ JobSpec ReportSpec() {
   return spec;
 }
 
+JobSpec AnatomySpec() {
+  JobSpec spec = ReportSpec();
+  spec.algorithms = {Algorithm::kAnatomy};
+  spec.out = testing::TempDir() + "failpoint_anatomy";
+  return spec;
+}
+
 std::string WriteCodedCsv() {
   const std::string path = testing::TempDir() + "failpoint_input.csv";
   std::ofstream out(path);
@@ -211,6 +218,10 @@ void ExpectInjectedIoError(const JobSpec& spec, Site site, Injection injection) 
                               << " but the run succeeded";
     EXPECT_EQ(result.error().code, PipelineErrorCode::kIo) << result.error().message;
     EXPECT_EQ(ExitCodeFor(result.error().code), 3);
+    EXPECT_NE(result.error().message.find("[failpoint " + std::string(failpoint::SiteName(site)) +
+                                          "]"),
+              std::string::npos)
+        << "untyped error: " << result.error().message;
     EXPECT_GE(failpoint::Triggers(site), 1u) << "the armed site never fired";
   }
   failpoint::DisarmAll();
@@ -230,16 +241,18 @@ TEST_F(FailpointTest, MatrixEveryEngineSiteSurfacesAsTypedIoError) {
   const JobSpec extsort = SortHeavySpec();
   const JobSpec report = ReportSpec();
   const JobSpec csv = CsvSpec();
+  const JobSpec anatomy = AnatomySpec();
 
-  // Which driver reaches which site. Enumerated over the full registry so
-  // a future site cannot be added without a matrix entry.
-  std::map<Site, const JobSpec*> drivers = {
-      {Site::kSpillCreate, &paged},  {Site::kSpillWrite, &paged},
-      {Site::kSpillRead, &paged},    {Site::kPagedAppend, &paged},
-      {Site::kPagedSeal, &paged},    {Site::kPagedMap, &paged},
-      {Site::kPageCacheRead, &paged}, {Site::kExtSortSpill, &extsort},
-      {Site::kExtSortMerge, &extsort}, {Site::kCsvRead, &csv},
-      {Site::kReportWrite, &report}, {Site::kReleaseWrite, &report},
+  // Which drivers reach which site. Enumerated over the full registry so
+  // a future site cannot be added without a matrix entry. A TP release
+  // and the Anatomy pair are both releases, so both take release.write.
+  std::map<Site, std::vector<const JobSpec*>> drivers = {
+      {Site::kSpillCreate, {&paged}},   {Site::kSpillWrite, {&paged}},
+      {Site::kSpillRead, {&paged}},     {Site::kPagedAppend, {&paged}},
+      {Site::kPagedSeal, {&paged}},     {Site::kPagedMap, {&paged}},
+      {Site::kPageCacheRead, {&paged}}, {Site::kExtSortSpill, {&extsort}},
+      {Site::kExtSortMerge, {&extsort}}, {Site::kCsvRead, {&csv}},
+      {Site::kReportWrite, {&report}},  {Site::kReleaseWrite, {&report, &anatomy}},
   };
   const std::vector<Site> daemon_sites = {Site::kDaemonAccept, Site::kDaemonRead,
                                           Site::kDaemonWrite};
@@ -247,9 +260,11 @@ TEST_F(FailpointTest, MatrixEveryEngineSiteSurfacesAsTypedIoError) {
       << "every registered site needs a matrix driver (daemon sites are "
          "covered by MatrixDaemonSites*)";
 
-  for (const auto& [site, spec] : drivers) {
-    ExpectInjectedIoError(*spec, site, Injection{ENOSPC, false});
-    ExpectInjectedIoError(*spec, site, Injection{EIO, false});
+  for (const auto& [site, specs] : drivers) {
+    for (const JobSpec* spec : specs) {
+      ExpectInjectedIoError(*spec, site, Injection{ENOSPC, false});
+      ExpectInjectedIoError(*spec, site, Injection{EIO, false});
+    }
   }
   // Short writes land half the page for real before failing, exercising
   // the unwind against a genuinely torn spill page.
@@ -263,6 +278,34 @@ TEST_F(FailpointTest, MatrixEveryEngineSiteSurfacesAsTypedIoError) {
   EXPECT_EQ(clean->exit_code, 0);
   RemoveOutputs(report.out);
   std::remove(csv.input.c_str());
+}
+
+TEST_F(FailpointTest, DictionarySidecarTakesTheReportWriteSite) {
+  // A raw input writes its dictionary sidecar before any report, so the
+  // first report.write evaluation is the sidecar's.
+  const std::string input = testing::TempDir() + "failpoint_raw_input.csv";
+  {
+    std::ofstream out(input);
+    out << "City,Disease\n";
+    for (int i = 0; i < 40; ++i) out << "city" << (i % 4) << ",dx" << (i % 3) << "\n";
+  }
+  JobSpec spec;
+  spec.input = input;
+  spec.algorithms = {Algorithm::kTp};
+  spec.ls = {2};
+  spec.timings = false;
+  spec.out = testing::TempDir() + "failpoint_raw";
+  failpoint::Arm(Site::kReportWrite, Injection{ENOSPC, false}, /*nth=*/1);
+  Engine engine;
+  Expected<ExecuteSummary, PipelineError> result = engine.Execute(spec);
+  ASSERT_FALSE(result.ok()) << "armed report.write but the run succeeded";
+  EXPECT_EQ(result.error().code, PipelineErrorCode::kIo);
+  EXPECT_NE(result.error().message.find("'" + spec.out + "_dict.csv'"), std::string::npos)
+      << result.error().message;
+  EXPECT_NE(result.error().message.find("[failpoint report.write]"), std::string::npos)
+      << result.error().message;
+  RemoveOutputs(spec.out);
+  std::remove(input.c_str());
 }
 
 TEST_F(FailpointTest, MatrixDaemonSitesKeepTheDaemonServing) {

@@ -306,7 +306,6 @@ TEST(PagedTableBuilder, FinishedTableMatchesInRamTable) {
   }
   std::unique_ptr<PagedTable> paged = builder->Finish(expected.schema(), &error);
   ASSERT_NE(paged, nullptr) << error;
-  ASSERT_TRUE(paged->has_resident());
 
   const Table& resident = paged->resident();
   EXPECT_TRUE(resident.borrowed());

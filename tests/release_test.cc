@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 
+#include "common/csv.h"
 #include "core/anonymizer.h"
 #include "test_util.h"
 
@@ -19,7 +21,8 @@ TEST(Release, RoundTripPreservesStarsAndValues) {
   GeneralizedTable generalized(table, outcome.partition);
 
   std::string path = ::testing::TempDir() + "/ldv_release.csv";
-  ASSERT_TRUE(WriteReleaseCsv(table, generalized, path));
+  std::string error;
+  ASSERT_TRUE(WriteReleaseCsv(table, generalized, path, &error)) << error;
   auto rows = ReadReleaseCsv(table.schema(), path);
   ASSERT_TRUE(rows.has_value());
   ASSERT_EQ(rows->size(), table.size());
@@ -45,7 +48,8 @@ TEST(Release, NonStarValuesMatchOriginals) {
   ASSERT_TRUE(outcome.feasible);
   GeneralizedTable generalized(table, outcome.partition);
   std::string path = ::testing::TempDir() + "/ldv_release2.csv";
-  ASSERT_TRUE(WriteReleaseCsv(table, generalized, path));
+  std::string error;
+  ASSERT_TRUE(WriteReleaseCsv(table, generalized, path, &error)) << error;
   auto rows = ReadReleaseCsv(table.schema(), path);
   ASSERT_TRUE(rows.has_value());
   // Row order in the file follows the partition's groups; rebuild that
@@ -79,6 +83,37 @@ TEST(Release, ReaderRejectsCorruptFiles) {
     fclose(f);
   }
   EXPECT_FALSE(ReadReleaseCsv(schema, path).has_value());
+  std::remove(path.c_str());
+}
+
+TEST(Release, ReaderRejectsAReleaseTruncatedInsideAQuotedCell) {
+  // Comma-bearing SA labels are quoted in a release; a file cut off before
+  // the last closing quote must not parse as a complete release.
+  const std::string input = ::testing::TempDir() + "/ldv_release_raw.csv";
+  {
+    std::ofstream out(input);
+    out << "City,Disease\nLisbon,\"flu, mild\"\nPorto,asthma\nLisbon,asthma\n";
+  }
+  CsvError csv_error;
+  std::optional<Table> table = ReadRawTableCsv(input, &csv_error);
+  ASSERT_TRUE(table.has_value()) << csv_error.ToString();
+
+  const std::string path = ::testing::TempDir() + "/ldv_release_quoted.csv";
+  const std::string release = "City,Disease\n*,\"flu, mild\"\n*,asthma\n*,\"flu, mild\"\n";
+  for (bool truncated : {false, true}) {
+    {
+      std::ofstream out(path);
+      out << (truncated ? release.substr(0, release.size() - 2) : release);
+    }
+    std::optional<std::vector<ReleaseRow>> rows = ReadReleaseCsv(table->schema(), path);
+    if (truncated) {
+      EXPECT_FALSE(rows.has_value()) << "a release cut off mid-quote parsed as complete";
+    } else {
+      ASSERT_TRUE(rows.has_value());
+      EXPECT_EQ(rows->size(), 3u);
+    }
+  }
+  std::remove(input.c_str());
   std::remove(path.c_str());
 }
 
