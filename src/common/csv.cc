@@ -112,9 +112,8 @@ bool SplitCsvRecord(const std::string& line, std::vector<std::string>* cells,
   return !in_quotes;
 }
 
-CsvReader::CsvReader(const std::string& path, CsvError* error) : path_(path), error_(error) {}
-
-CsvReader::~CsvReader() = default;
+CsvReader::CsvReader(const std::string& path, CsvError* error, bool check_failpoint)
+    : path_(path), error_(error), check_failpoint_(check_failpoint), in_(path) {}
 
 bool CsvReader::Fail(std::size_t column, std::string reason) {
   failed_ = true;
@@ -123,20 +122,19 @@ bool CsvReader::Fail(std::size_t column, std::string reason) {
 }
 
 bool CsvReader::ReadHeader(std::vector<std::string>* header) {
-  in_ = std::make_unique<std::ifstream>(path_);
-  if (!*in_) return Fail(0, "cannot open file");
+  if (!in_) return Fail(0, "cannot open file");
   line_ = 1;
-  if (!std::getline(*in_, text_)) return Fail(0, "empty file (missing header row)");
+  if (!std::getline(in_, text_)) return Fail(0, "empty file (missing header row)");
   std::size_t open_cell = 0;
   if (!SplitCsvRecord(text_, header, &open_cell)) return Fail(open_cell, kUnterminatedQuote);
   return true;
 }
 
 bool CsvReader::Next(std::vector<std::string>* cells) {
-  while (std::getline(*in_, text_)) {
+  while (std::getline(in_, text_)) {
     ++line_;
     failpoint::Injection injection;
-    if (failpoint::Check(failpoint::Site::kCsvRead, &injection)) {
+    if (check_failpoint_ && failpoint::Check(failpoint::Site::kCsvRead, &injection)) {
       return Fail(0, failpoint::Describe(failpoint::Site::kCsvRead, injection, "read failed"));
     }
     if (text_.empty() || text_ == "\r") continue;  // blank, or a bare CRLF carriage return
@@ -146,7 +144,7 @@ bool CsvReader::Next(std::vector<std::string>* cells) {
   }
   // getline's eof and a mid-file read error look identical without this
   // check: a truncated table would silently pass as a complete one.
-  if (in_->bad()) return Fail(0, std::string("read failed: ") + std::strerror(errno));
+  if (in_.bad()) return Fail(0, std::string("read failed: ") + std::strerror(errno));
   return false;
 }
 

@@ -1,8 +1,8 @@
 #ifndef LDIV_COMMON_CSV_H_
 #define LDIV_COMMON_CSV_H_
 
+#include <fstream>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -55,12 +55,13 @@ bool SplitCsvRecord(const std::string& line, std::vector<std::string>* cells,
 ///   if (reader.failed()) return false;
 class CsvReader {
  public:
-  /// `error` (may be null) receives the first failure.
-  CsvReader(const std::string& path, CsvError* error);
-  ~CsvReader();
+  /// Opens `path`. `error` (may be null) receives the first failure.
+  /// `check_failpoint` false skips the `csv.read` site: format detection
+  /// only sniffs, and its failures defer to the loader that reads next.
+  CsvReader(const std::string& path, CsvError* error, bool check_failpoint = true);
 
-  /// Opens the file and splits its header row into `*header`; false when
-  /// the file cannot be opened, is empty, or its header is malformed.
+  /// Splits the header row into `*header`; false when the file could not
+  /// be opened, is empty, or its header is malformed.
   bool ReadHeader(std::vector<std::string>* header);
 
   /// Splits the next non-blank data line into `*cells`. False at the end
@@ -76,7 +77,8 @@ class CsvReader {
  private:
   std::string path_;
   CsvError* error_;
-  std::unique_ptr<std::istream> in_;
+  bool check_failpoint_;
+  std::ifstream in_;
   std::string text_;
   std::size_t line_ = 0;  // 1-based number of the last line read; the header is 1
   bool failed_ = false;

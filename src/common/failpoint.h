@@ -39,7 +39,7 @@ enum class Site : int {
   kPageCacheRead,    ///< PageCache::Pin miss / refault read
   kExtSortSpill,     ///< ExternalSorter sorted-run spill
   kExtSortMerge,     ///< ExternalSorter merge refill read
-  kCsvRead,          ///< CsvReader: every data line of every CSV read
+  kCsvRead,          ///< CsvReader: every data line a loader or ReadReleaseCsv reads
   kReportWrite,      ///< JSON report, metrics CSV, dictionary sidecar, emit-input
   kReleaseWrite,     ///< suppression release and both Anatomy files
   kDaemonAccept,     ///< daemon accept loop

@@ -29,7 +29,8 @@ std::string_view CsvFormatName(CsvFormat format);
 /// Sniffs the file's format: kCoded when every cell of the first data row
 /// parses as a non-negative integer, kRaw otherwise. Returns std::nullopt
 /// (with `*error` set to the positioned CsvError) when the file cannot be
-/// read or has no well-formed data row.
+/// read or has no well-formed data row. The sniff does not evaluate the
+/// `csv.read` failpoint (see ResolveCsvFormat).
 std::optional<CsvFormat> DetectCsvFormat(const std::string& path, std::string* error);
 
 /// The single kAuto resolution policy, shared by the CLI front-end and

@@ -280,21 +280,43 @@ TEST_F(FailpointTest, MatrixEveryEngineSiteSurfacesAsTypedIoError) {
   std::remove(csv.input.c_str());
 }
 
-TEST_F(FailpointTest, DictionarySidecarTakesTheReportWriteSite) {
-  // A raw input writes its dictionary sidecar before any report, so the
-  // first report.write evaluation is the sidecar's.
-  const std::string input = testing::TempDir() + "failpoint_raw_input.csv";
-  {
-    std::ofstream out(input);
-    out << "City,Disease\n";
-    for (int i = 0; i < 40; ++i) out << "city" << (i % 4) << ",dx" << (i % 3) << "\n";
-  }
+// A TP job over a raw (string-labelled) CSV with no schema, so the
+// format is auto-detected and the run writes a dictionary sidecar.
+JobSpec RawCsvSpec() {
   JobSpec spec;
-  spec.input = input;
+  spec.input = testing::TempDir() + "failpoint_raw_input.csv";
+  std::ofstream out(spec.input);
+  out << "City,Disease\n";
+  for (int i = 0; i < 40; ++i) out << "city" << (i % 4) << ",dx" << (i % 3) << "\n";
   spec.algorithms = {Algorithm::kTp};
   spec.ls = {2};
   spec.timings = false;
   spec.out = testing::TempDir() + "failpoint_raw";
+  return spec;
+}
+
+TEST_F(FailpointTest, CsvReadFaultOnTheFirstDataLineFailsAnAutoDetectedLoad) {
+  // Format detection sniffs the first data line without evaluating
+  // csv.read, so a single firing lands on the loader's read of that line
+  // instead of being swallowed by the detection fallback.
+  const JobSpec spec = RawCsvSpec();
+  failpoint::Arm(Site::kCsvRead, Injection{EIO, false}, /*nth=*/1, /*count=*/1);
+  Engine engine;
+  Expected<ExecuteSummary, PipelineError> result = engine.Execute(spec);
+  ASSERT_FALSE(result.ok()) << "armed csv.read but the run succeeded";
+  EXPECT_EQ(result.error().code, PipelineErrorCode::kIo);
+  EXPECT_NE(result.error().message.find(spec.input + ":2:"), std::string::npos)
+      << result.error().message;
+  EXPECT_NE(result.error().message.find("[failpoint csv.read]"), std::string::npos)
+      << result.error().message;
+  RemoveOutputs(spec.out);
+  std::remove(spec.input.c_str());
+}
+
+TEST_F(FailpointTest, DictionarySidecarTakesTheReportWriteSite) {
+  // A raw input writes its dictionary sidecar before any report, so the
+  // first report.write evaluation is the sidecar's.
+  const JobSpec spec = RawCsvSpec();
   failpoint::Arm(Site::kReportWrite, Injection{ENOSPC, false}, /*nth=*/1);
   Engine engine;
   Expected<ExecuteSummary, PipelineError> result = engine.Execute(spec);
@@ -305,7 +327,7 @@ TEST_F(FailpointTest, DictionarySidecarTakesTheReportWriteSite) {
   EXPECT_NE(result.error().message.find("[failpoint report.write]"), std::string::npos)
       << result.error().message;
   RemoveOutputs(spec.out);
-  std::remove(input.c_str());
+  std::remove(spec.input.c_str());
 }
 
 TEST_F(FailpointTest, MatrixDaemonSitesKeepTheDaemonServing) {
