@@ -6,23 +6,28 @@ namespace ldv {
 
 bool WriteReleaseCsv(const Table& table, const GeneralizedTable& generalized,
                      const std::string& path, std::string* error) {
-  return WriteOutputFile(path, failpoint::Site::kReleaseWrite, [&](std::ostream& out) {
+  return WriteOutputFile(path, failpoint::Site::kReleaseWrite, [&](OutputSink& out) {
     const Schema& schema = table.schema();
+    AppendCsvHeader(schema, CsvEscapeCell(schema.sensitive().name), out);
+    std::vector<CsvCell> qi_cells;
     for (std::size_t a = 0; a < schema.qi_count(); ++a) {
-      out << CsvEscapeCell(schema.qi(static_cast<AttrId>(a)).name) << ",";
+      qi_cells.emplace_back(schema.qi(static_cast<AttrId>(a)));
     }
-    out << CsvEscapeCell(schema.sensitive().name) << "\n";
+    CsvCell sa_cell(schema.sensitive());
+    // Every row of a QI-group shares the group's generalized QI cells:
+    // render them once, then append only each row's SA cell.
+    std::string prefix;
     for (GroupId g = 0; g < generalized.group_count(); ++g) {
       const std::vector<Value>& sig = generalized.signature(g);
+      prefix.clear();
+      for (std::size_t a = 0; a < sig.size(); ++a) {
+        prefix += IsStar(sig[a]) ? std::string_view("*") : qi_cells[a](sig[a]);
+        prefix += ',';
+      }
       for (RowId r : generalized.rows(g)) {
-        for (std::size_t a = 0; a < sig.size(); ++a) {
-          if (IsStar(sig[a])) {
-            out << "*,";
-          } else {
-            out << DecodeCsvValue(schema.qi(static_cast<AttrId>(a)), sig[a]) << ",";
-          }
-        }
-        out << DecodeCsvValue(schema.sensitive(), table.sa(r)) << "\n";
+        out.Append(prefix);
+        out.Append(sa_cell(table.sa(r)));
+        out.Append('\n');
       }
     }
   }, error);
@@ -31,10 +36,11 @@ bool WriteReleaseCsv(const Table& table, const GeneralizedTable& generalized,
 std::optional<std::vector<ReleaseRow>> ReadReleaseCsv(const Schema& schema,
                                                       const std::string& path) {
   CsvReader reader(path, nullptr);
-  std::vector<std::string> cells;
-  if (!reader.ReadHeader(&cells)) return std::nullopt;
+  std::vector<std::string> header;
+  if (!reader.ReadHeader(&header)) return std::nullopt;
 
   std::vector<ReleaseRow> rows;
+  std::vector<std::string_view> cells;
   while (reader.Next(&cells)) {
     if (cells.size() != schema.qi_count() + 1) return std::nullopt;
     ReleaseRow row;

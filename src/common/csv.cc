@@ -1,8 +1,13 @@
 #include "common/csv.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
-#include <fstream>
 #include <limits>
 
 #include "common/failpoint.h"
@@ -12,15 +17,15 @@ namespace ldv {
 namespace {
 
 // Parses one cell as a non-negative integer code. Returns false on any
-// malformed character, an empty cell, or a value that cannot be a Value
-// code (more than 10 digits would wrap the accumulator).
-bool ParseUintCell(const std::string& cell, std::uint64_t* out) {
+// malformed character (std::from_chars takes no sign or space for an
+// unsigned type), an empty cell, or a value that cannot be a Value code;
+// the 10-digit cap keeps the 64-bit parse from overflowing.
+bool ParseUintCell(std::string_view cell, std::uint64_t* out) {
   if (cell.empty() || cell.size() > 10) return false;
+  const char* end = cell.data() + cell.size();
   std::uint64_t value = 0;
-  for (char c : cell) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
+  const std::from_chars_result parsed = std::from_chars(cell.data(), end, value);
+  if (parsed.ec != std::errc() || parsed.ptr != end) return false;
   if (value > std::numeric_limits<Value>::max()) return false;
   *out = value;
   return true;
@@ -78,42 +83,69 @@ std::string CsvError::ToString() const {
   return out;
 }
 
-bool SplitCsvRecord(const std::string& line, std::vector<std::string>* cells,
-                    std::size_t* open_cell) {
+bool SplitCsvRecord(std::string_view line, std::vector<std::string_view>* cells,
+                    std::string* unquoted, std::size_t* open_cell) {
   cells->clear();
-  std::size_t length = line.size();
-  if (length > 0 && line[length - 1] == '\r') --length;  // CRLF input
-  std::string cell;
-  bool in_quotes = false;
-  for (std::size_t i = 0; i < length; ++i) {
-    char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < length && line[i + 1] == '"') {
-          cell.push_back('"');
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        cell.push_back(c);
-      }
-    } else if (c == '"' && cell.empty()) {
-      in_quotes = true;
-    } else if (c == ',') {
-      cells->push_back(std::move(cell));
-      cell.clear();
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);  // CRLF input
+  const char* cursor = line.data();
+  const char* const end = cursor + line.size();
+  char* out = nullptr;  // write cursor into *unquoted, set by the first quoted cell
+  for (;;) {
+    if (cursor == end || *cursor != '"') {
+      // A quote only opens a cell, so an unquoted cell runs to the next comma.
+      const char* comma = cursor;
+      while (comma != end && *comma != ',') ++comma;
+      cells->emplace_back(cursor, comma - cursor);
+      cursor = comma;
     } else {
-      cell.push_back(c);
+      // Quoted cells unescape into *unquoted, sized once per line so the
+      // views taken before stay valid (a cell never outgrows its source).
+      if (out == nullptr) {
+        if (unquoted->size() < line.size()) unquoted->resize(line.size());
+        out = unquoted->data();
+      }
+      char* const cell = out;
+      bool in_quotes = false;
+      for (; cursor != end; ++cursor) {
+        const char c = *cursor;
+        if (in_quotes) {
+          if (c != '"') {
+            *out++ = c;
+          } else if (cursor + 1 != end && cursor[1] == '"') {
+            *out++ = '"';
+            ++cursor;
+          } else {
+            in_quotes = false;
+          }
+        } else if (c == '"' && out == cell) {
+          in_quotes = true;
+        } else if (c == ',') {
+          break;
+        } else {
+          *out++ = c;
+        }
+      }
+      cells->emplace_back(cell, out - cell);
+      if (in_quotes) {
+        if (open_cell != nullptr) *open_cell = cells->size();
+        return false;
+      }
     }
+    if (cursor == end) return true;
+    ++cursor;  // the comma
   }
-  cells->push_back(std::move(cell));
-  if (in_quotes && open_cell != nullptr) *open_cell = cells->size();
-  return !in_quotes;
 }
 
 CsvReader::CsvReader(const std::string& path, CsvError* error, bool check_failpoint)
-    : path_(path), error_(error), check_failpoint_(check_failpoint), in_(path) {}
+    : path_(path),
+      error_(error),
+      check_failpoint_(check_failpoint),
+      fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)),
+      block_(kCsvBlockBytes) {}
+
+CsvReader::~CsvReader() {
+  if (fd_ >= 0) ::close(fd_);
+}
 
 bool CsvReader::Fail(std::size_t column, std::string reason) {
   failed_ = true;
@@ -121,50 +153,133 @@ bool CsvReader::Fail(std::size_t column, std::string reason) {
   return false;
 }
 
+bool CsvReader::ReadLine(std::string_view* line) {
+  std::size_t scanned = begin_;  // bytes before this offset hold no newline
+  for (;;) {
+    const char* base = block_.data();
+    if (const void* newline = std::memchr(base + scanned, '\n', end_ - scanned)) {
+      const std::size_t stop = static_cast<const char*>(newline) - base;
+      *line = std::string_view(base + begin_, stop - begin_);
+      begin_ = stop + 1;
+      return true;
+    }
+    if (eof_) {
+      if (begin_ == end_) return false;
+      *line = std::string_view(base + begin_, end_ - begin_);  // last line, no newline
+      begin_ = end_;
+      return true;
+    }
+    // Carry the partial line to the front of the block, growing the block
+    // when one line fills it, and read on behind it.
+    const std::size_t carried = end_ - begin_;
+    std::memmove(block_.data(), base + begin_, carried);
+    begin_ = 0;
+    end_ = scanned = carried;
+    if (end_ == block_.size()) block_.resize(2 * block_.size());
+    ssize_t got = 0;
+    do {
+      got = ::read(fd_, block_.data() + end_, block_.size() - end_);
+    } while (got < 0 && errno == EINTR);
+    if (got < 0) {
+      read_errno_ = errno;
+      return false;
+    }
+    if (got == 0) eof_ = true;
+    end_ += static_cast<std::size_t>(got);
+  }
+}
+
 bool CsvReader::ReadHeader(std::vector<std::string>* header) {
-  if (!in_) return Fail(0, "cannot open file");
+  if (fd_ < 0) return Fail(0, "cannot open file");
   line_ = 1;
-  if (!std::getline(in_, text_)) return Fail(0, "empty file (missing header row)");
+  std::string_view line;
+  if (!ReadLine(&line)) {
+    // A read error is never taken for an empty file.
+    if (read_errno_ != 0) return Fail(0, std::string("read failed: ") + std::strerror(read_errno_));
+    return Fail(0, "empty file (missing header row)");
+  }
+  std::vector<std::string_view> cells;
   std::size_t open_cell = 0;
-  if (!SplitCsvRecord(text_, header, &open_cell)) return Fail(open_cell, kUnterminatedQuote);
+  const bool closed = SplitCsvRecord(line, &cells, &unquoted_, &open_cell);
+  header->assign(cells.begin(), cells.end());
+  if (!closed) return Fail(open_cell, kUnterminatedQuote);
   return true;
 }
 
-bool CsvReader::Next(std::vector<std::string>* cells) {
-  while (std::getline(in_, text_)) {
+bool CsvReader::Next(std::vector<std::string_view>* cells) {
+  std::string_view line;
+  while (ReadLine(&line)) {
     ++line_;
     failpoint::Injection injection;
     if (check_failpoint_ && failpoint::Check(failpoint::Site::kCsvRead, &injection)) {
       return Fail(0, failpoint::Describe(failpoint::Site::kCsvRead, injection, "read failed"));
     }
-    if (text_.empty() || text_ == "\r") continue;  // blank, or a bare CRLF carriage return
+    if (line.empty() || line == "\r") continue;  // blank, or a bare CRLF carriage return
     std::size_t open_cell = 0;
-    if (!SplitCsvRecord(text_, cells, &open_cell)) return Fail(open_cell, kUnterminatedQuote);
+    if (!SplitCsvRecord(line, cells, &unquoted_, &open_cell)) {
+      return Fail(open_cell, kUnterminatedQuote);
+    }
     return true;
   }
-  // getline's eof and a mid-file read error look identical without this
-  // check: a truncated table would silently pass as a complete one.
-  if (in_.bad()) return Fail(0, std::string("read failed: ") + std::strerror(errno));
+  // The end of the file and a mid-file read error both end the loop; a
+  // truncated table must never pass as a complete one.
+  if (read_errno_ != 0) return Fail(0, std::string("read failed: ") + std::strerror(read_errno_));
   return false;
 }
 
+void OutputSink::AppendSlow(std::string_view text) {
+  while (!text.empty()) {
+    if (used_ == kCsvBlockBytes) Flush();
+    const std::size_t take = std::min(text.size(), kCsvBlockBytes - used_);
+    std::memcpy(block_.get() + used_, text.data(), take);
+    used_ += take;
+    text.remove_prefix(take);
+  }
+}
+
+void OutputSink::Flush() {
+  const char* cursor = block_.get();
+  std::size_t left = errno_ == 0 ? used_ : 0;  // after a failure, drop the bytes
+  used_ = 0;
+  while (left > 0) {
+    const ssize_t wrote = ::write(fd_, cursor, left);
+    if (wrote < 0 && errno == EINTR) continue;
+    if (wrote <= 0) {
+      errno_ = wrote < 0 ? errno : EIO;
+      return;
+    }
+    cursor += wrote;
+    left -= static_cast<std::size_t>(wrote);
+  }
+}
+
 bool WriteOutputFile(const std::string& path, failpoint::Site site,
-                     const std::function<void(std::ostream&)>& body, std::string* error) {
+                     const std::function<void(OutputSink&)>& body, std::string* error) {
   failpoint::Injection injection;
   if (failpoint::Check(site, &injection)) {
     *error = failpoint::Describe(site, injection, "cannot write '" + path + "'");
     return false;
   }
-  std::ofstream out(path);
-  if (out) body(out);
-  // Close before checking: some failures (e.g. a full disk behind a
-  // buffered stream) only surface at flush/close time.
-  out.close();
-  if (out.fail()) {
-    *error = "cannot write '" + path + "'";
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) {
+    *error = "cannot write '" + path + "': " + std::strerror(errno);
     return false;
   }
-  return true;
+  struct stat status;
+  const bool regular = ::fstat(fd, &status) == 0 && S_ISREG(status.st_mode);
+  OutputSink sink(fd);
+  body(sink);
+  sink.Flush();
+  int failure = sink.errno_;
+  // Close before checking: some failures (e.g. a full disk under delayed
+  // allocation) only surface at close time.
+  if (::close(fd) != 0 && failure == 0) failure = errno;
+  if (failure == 0) return true;
+  // A partial release can end in a partial QI-group, which need not be
+  // l-diverse: remove it, but never a device such as /dev/full.
+  if (regular) ::unlink(path.c_str());
+  *error = "cannot write '" + path + "': " + std::strerror(failure);
+  return false;
 }
 
 std::string CsvQuoteCell(const std::string& cell) {
@@ -192,12 +307,24 @@ std::string CsvEscapeCell(const std::string& cell) {
   return needs_quotes ? CsvQuoteCell(cell) : cell;
 }
 
-std::string DecodeCsvValue(const Attribute& attr, Value v) {
-  if (attr.has_dictionary()) return CsvEscapeCell(attr.dictionary.label(v));
-  return std::to_string(v);
+CsvCell::CsvCell(const Attribute& attr) {
+  if (!attr.has_dictionary()) return;
+  labels_.reserve(attr.dictionary.size());
+  for (Value code = 0; code < attr.dictionary.size(); ++code) {
+    labels_.push_back(CsvEscapeCell(attr.dictionary.label(code)));
+  }
 }
 
-bool ParseCsvValue(const Attribute& attr, const std::string& cell, Value* out) {
+void AppendCsvHeader(const Schema& schema, std::string_view last, OutputSink& out) {
+  for (std::size_t a = 0; a < schema.qi_count(); ++a) {
+    out.Append(CsvEscapeCell(schema.qi(static_cast<AttrId>(a)).name));
+    out.Append(',');
+  }
+  out.Append(last);
+  out.Append('\n');
+}
+
+bool ParseCsvValue(const Attribute& attr, std::string_view cell, Value* out) {
   if (attr.has_dictionary()) {
     const Value* code = attr.dictionary.Find(cell);
     if (code == nullptr) return false;
@@ -211,17 +338,20 @@ bool ParseCsvValue(const Attribute& attr, const std::string& cell, Value* out) {
 }
 
 bool WriteTableCsv(const Table& table, const std::string& path, std::string* error) {
-  return WriteOutputFile(path, failpoint::Site::kReportWrite, [&table](std::ostream& out) {
-    const Schema& schema = table.schema();
-    for (std::size_t i = 0; i < schema.qi_count(); ++i) {
-      out << CsvEscapeCell(schema.qi(static_cast<AttrId>(i)).name) << ",";
-    }
-    out << CsvEscapeCell(schema.sensitive().name) << "\n";
-    for (RowId r = 0; r < table.size(); ++r) {
-      for (AttrId a = 0; a < table.qi_count(); ++a) out << table.qi(r, a) << ",";
-      out << table.sa(r) << "\n";
-    }
-  }, error);
+  return WriteOutputFile(
+      path, failpoint::Site::kReportWrite,
+      [&table](OutputSink& out) {
+        AppendCsvHeader(table.schema(), CsvEscapeCell(table.schema().sensitive().name), out);
+        for (RowId r = 0; r < table.size(); ++r) {
+          for (AttrId a = 0; a < table.qi_count(); ++a) {
+            out.AppendUint(table.qi(r, a));
+            out.Append(',');
+          }
+          out.AppendUint(table.sa(r));
+          out.Append('\n');
+        }
+      },
+      error);
 }
 
 namespace {
@@ -233,13 +363,17 @@ namespace {
 // byte-identical.
 template <typename RowFn>
 bool StreamCodedCsv(const Schema& schema, const std::string& path, CsvError* error,
-                    const RowFn& row_fn) {
+                    RowFn&& row_fn) {
   CsvReader reader(path, error);
-  std::vector<std::string> cells;
-  if (!reader.ReadHeader(&cells) || !ValidateHeader(schema, cells, &reader)) return false;
+  std::vector<std::string> header;
+  if (!reader.ReadHeader(&header) || !ValidateHeader(schema, header, &reader)) return false;
 
   const std::size_t d = schema.qi_count();
+  std::vector<std::size_t> domains(d + 1);
+  for (std::size_t i = 0; i < d; ++i) domains[i] = schema.qi(static_cast<AttrId>(i)).domain_size;
+  domains[d] = schema.sa_domain_size();
   std::vector<Value> qi(d);
+  std::vector<std::string_view> cells;
   while (reader.Next(&cells)) {
     if (cells.size() != d + 1) {
       return reader.Fail(0, "row has " + std::to_string(cells.size()) + " cells; expected " +
@@ -247,23 +381,22 @@ bool StreamCodedCsv(const Schema& schema, const std::string& path, CsvError* err
     }
     SaValue sa = 0;
     for (std::size_t i = 0; i <= d; ++i) {
-      const bool is_sa = i == d;
-      const Attribute& attr = is_sa ? schema.sensitive() : schema.qi(static_cast<AttrId>(i));
       std::uint64_t value = 0;
       if (!ParseUintCell(cells[i], &value)) {
-        return reader.Fail(i + 1, "cell '" + cells[i] +
+        return reader.Fail(i + 1, "cell '" + std::string(cells[i]) +
                                       "' is not a non-negative integer code (is this a raw " +
                                       "string-valued CSV? load it with format 'raw')");
       }
-      if (value >= attr.domain_size) {
+      if (value >= domains[i]) {
+        const Attribute& attr = i == d ? schema.sensitive() : schema.qi(static_cast<AttrId>(i));
         return reader.Fail(i + 1, "value " + std::to_string(value) + " is outside the domain [0, " +
                                       std::to_string(attr.domain_size) + ") of attribute '" +
                                       attr.name + "'");
       }
-      if (is_sa) {
-        sa = static_cast<SaValue>(value);
-      } else {
+      if (i < d) {
         qi[i] = static_cast<Value>(value);
+      } else {
+        sa = static_cast<SaValue>(value);
       }
     }
     row_fn(std::span<const Value>(qi), sa);
@@ -279,7 +412,7 @@ bool StreamCodedCsv(const Schema& schema, const std::string& path, CsvError* err
 // order, so every sink sees the identical encoding.
 template <typename HeaderFn, typename RowFn>
 bool StreamRawCsv(const std::string& path, CsvError* error, const HeaderFn& on_header,
-                  const RowFn& row_fn, Schema* out_schema) {
+                  RowFn&& row_fn, Schema* out_schema) {
   CsvReader reader(path, error);
   std::vector<std::string> header;
   if (!reader.ReadHeader(&header)) return false;
@@ -303,7 +436,7 @@ bool StreamRawCsv(const std::string& path, CsvError* error, const HeaderFn& on_h
   if (!on_header(d)) return false;
   std::vector<ValueDictionary> dictionaries(d + 1);
   std::vector<Value> qi(d);
-  std::vector<std::string> cells;
+  std::vector<std::string_view> cells;
   std::size_t rows = 0;
   while (reader.Next(&cells)) {
     if (cells.size() != d + 1) {
@@ -347,37 +480,39 @@ bool StreamRawCsv(const std::string& path, CsvError* error, const HeaderFn& on_h
   return true;
 }
 
+// The in-RAM sink of both readers: plain column vectors, built into a
+// Table once with FromColumns instead of a checked AppendRow per row.
+struct ColumnSink {
+  std::vector<std::vector<Value>> qi;
+  std::vector<SaValue> sa;
+
+  void operator()(std::span<const Value> row, SaValue value) {
+    for (std::size_t i = 0; i < row.size(); ++i) qi[i].push_back(row[i]);
+    sa.push_back(value);
+  }
+};
+
 }  // namespace
 
 std::optional<Table> ReadTableCsv(const Schema& schema, const std::string& path, CsvError* error) {
-  Table table(schema);
-  if (!StreamCodedCsv(schema, path, error, [&table](std::span<const Value> qi, SaValue sa) {
-        table.AppendRow(qi, sa);
-      })) {
-    return std::nullopt;
-  }
-  return table;
+  ColumnSink sink;
+  sink.qi.resize(schema.qi_count());
+  if (!StreamCodedCsv(schema, path, error, sink)) return std::nullopt;
+  return Table::FromColumns(schema, std::move(sink.qi), std::move(sink.sa));
 }
 
 std::optional<Table> ReadRawTableCsv(const std::string& path, CsvError* error) {
-  // In-RAM sink: accumulate plain column vectors and bulk-construct, the
-  // same shape (and cost) as the pre-streaming reader.
-  std::vector<std::vector<Value>> columns;
-  std::vector<SaValue> sa_column;
+  ColumnSink sink;
   Schema schema;
   const bool ok = StreamRawCsv(
       path, error,
-      [&columns](std::size_t d) {
-        columns.resize(d);
+      [&sink](std::size_t d) {
+        sink.qi.resize(d);
         return true;
       },
-      [&columns, &sa_column](std::span<const Value> qi, SaValue sa) {
-        for (std::size_t i = 0; i < qi.size(); ++i) columns[i].push_back(qi[i]);
-        sa_column.push_back(sa);
-      },
-      &schema);
+      sink, &schema);
   if (!ok) return std::nullopt;
-  return Table::FromColumns(std::move(schema), std::move(columns), std::move(sa_column));
+  return Table::FromColumns(std::move(schema), std::move(sink.qi), std::move(sink.sa));
 }
 
 std::unique_ptr<PagedTable> ReadTableCsvPaged(const Schema& schema, const std::string& path,
@@ -425,19 +560,27 @@ std::unique_ptr<PagedTable> ReadRawTableCsvPaged(const std::string& path,
 }
 
 bool WriteDictionaryCsv(const Schema& schema, const std::string& path, std::string* error) {
-  return WriteOutputFile(path, failpoint::Site::kReportWrite, [&schema](std::ostream& out) {
-    out << "attribute,code,label\n";
-    auto write_attribute = [&out](const Attribute& attr) {
-      for (Value code = 0; code < attr.dictionary.size(); ++code) {
-        out << CsvEscapeCell(attr.name) << "," << code << ","
-            << CsvEscapeCell(attr.dictionary.label(code)) << "\n";
-      }
-    };
-    for (std::size_t a = 0; a < schema.qi_count(); ++a) {
-      write_attribute(schema.qi(static_cast<AttrId>(a)));
-    }
-    write_attribute(schema.sensitive());
-  }, error);
+  return WriteOutputFile(
+      path, failpoint::Site::kReportWrite,
+      [&schema](OutputSink& out) {
+        out.Append("attribute,code,label\n");
+        auto write_attribute = [&out](const Attribute& attr) {
+          const std::string name = CsvEscapeCell(attr.name);
+          for (Value code = 0; code < attr.dictionary.size(); ++code) {
+            out.Append(name);
+            out.Append(',');
+            out.AppendUint(code);
+            out.Append(',');
+            out.Append(CsvEscapeCell(attr.dictionary.label(code)));
+            out.Append('\n');
+          }
+        };
+        for (std::size_t a = 0; a < schema.qi_count(); ++a) {
+          write_attribute(schema.qi(static_cast<AttrId>(a)));
+        }
+        write_attribute(schema.sensitive());
+      },
+      error);
 }
 
 }  // namespace ldv

@@ -1,11 +1,13 @@
 #ifndef LDIV_COMMON_CSV_H_
 #define LDIV_COMMON_CSV_H_
 
-#include <fstream>
+#include <charconv>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -30,24 +32,34 @@ struct CsvError {
   std::string ToString() const;
 };
 
+/// Size of the blocks the CSV layer moves: CsvReader reads its file in
+/// blocks of this size and OutputSink writes full blocks of it, so no
+/// file is ever held in memory whole.
+inline constexpr std::size_t kCsvBlockBytes = std::size_t{1} << 20;
+
 /// Splits one CSV line into cells on commas, honoring RFC-4180 double
 /// quotes ("a,b" is one cell; "" inside quotes is a literal quote). A
 /// trailing carriage return (CRLF files saved on Windows) is stripped
 /// before splitting so it can never leak into the last cell's label.
 /// Embedded newlines are not supported -- ingestion is line-oriented.
+/// Unquoted cells are views of `line`; quoted cells are unescaped into
+/// `*unquoted`, so every view lives until `line` or `*unquoted` changes.
 /// Returns false when the line (or the file's final unterminated chunk)
 /// ends inside an open quoted cell, filling `open_cell` (when non-null)
 /// with the 1-based index of the offending cell; the cells parsed so far
 /// are still delivered.
-bool SplitCsvRecord(const std::string& line, std::vector<std::string>* cells,
-                    std::size_t* open_cell);
+bool SplitCsvRecord(std::string_view line, std::vector<std::string_view>* cells,
+                    std::string* unquoted, std::size_t* open_cell);
 
 /// The one line reader behind every CSV file ldiv reads (coded and raw
-/// tables, in RAM or paged, releases, and format detection). It opens
-/// the file, splits the header, skips blank lines, checks the `csv.read`
-/// failpoint once per data line, rejects a line (or a truncated final
-/// chunk) that ends inside an open quote, and tells a mid-file read error
-/// apart from the end of the file -- every failure a positioned CsvError.
+/// tables, in RAM or paged, releases, and format detection). It reads the
+/// file in kCsvBlockBytes blocks and finds lines with memchr, carrying a
+/// line that straddles a block into the next read (a line longer than a
+/// block grows the buffer). It splits the header, skips blank lines,
+/// checks the `csv.read` failpoint once per data line, rejects a line (or
+/// a truncated final chunk) that ends inside an open quote, and tells a
+/// read error apart from the end of the file -- every failure a
+/// positioned CsvError.
 ///
 ///   CsvReader reader(path, error);
 ///   if (!reader.ReadHeader(&header)) return false;
@@ -59,14 +71,18 @@ class CsvReader {
   /// `check_failpoint` false skips the `csv.read` site: format detection
   /// only sniffs, and its failures defer to the loader that reads next.
   CsvReader(const std::string& path, CsvError* error, bool check_failpoint = true);
+  ~CsvReader();
+  CsvReader(const CsvReader&) = delete;
+  CsvReader& operator=(const CsvReader&) = delete;
 
   /// Splits the header row into `*header`; false when the file could not
-  /// be opened, is empty, or its header is malformed.
+  /// be opened or read, is empty, or its header is malformed.
   bool ReadHeader(std::vector<std::string>* header);
 
-  /// Splits the next non-blank data line into `*cells`. False at the end
-  /// of the file and on failure; failed() tells the two apart.
-  bool Next(std::vector<std::string>* cells);
+  /// Splits the next non-blank data line into `*cells`, views that live
+  /// until the next call. False at the end of the file and on failure;
+  /// failed() tells the two apart.
+  bool Next(std::vector<std::string_view>* cells);
 
   /// Records a failure at the current line (`column` 0 = the whole line)
   /// and returns false, so a row check can `return reader.Fail(...)`.
@@ -75,24 +91,79 @@ class CsvReader {
   bool failed() const { return failed_; }
 
  private:
+  /// The next raw line (without its newline), or false at the end of the
+  /// file or on a read error (read_errno_ set).
+  bool ReadLine(std::string_view* line);
+
   std::string path_;
   CsvError* error_;
   bool check_failpoint_;
-  std::ifstream in_;
-  std::string text_;
+  int fd_;
+  std::vector<char> block_;
+  std::size_t begin_ = 0;  // first unconsumed byte of block_
+  std::size_t end_ = 0;    // one past the last byte read into block_
+  bool eof_ = false;
+  int read_errno_ = 0;
+  std::string unquoted_;  // backing store of the current line's quoted cells
   std::size_t line_ = 0;  // 1-based number of the last line read; the header is 1
   bool failed_ = false;
 };
 
+/// The buffered sink WriteOutputFile hands its body. Appends land in one
+/// reused kCsvBlockBytes block, and every full block is written to the
+/// file in one call. The first failed write is remembered with its errno;
+/// the bytes after it are dropped.
+class OutputSink {
+ public:
+  OutputSink(const OutputSink&) = delete;
+  OutputSink& operator=(const OutputSink&) = delete;
+
+  void Append(std::string_view text) {
+    if (text.size() > kCsvBlockBytes - used_) return AppendSlow(text);
+    std::memcpy(block_.get() + used_, text.data(), text.size());
+    used_ += text.size();
+  }
+
+  void Append(char c) {
+    if (used_ == kCsvBlockBytes) Flush();
+    block_[used_++] = c;
+  }
+
+  /// Appends `value` in decimal, formatted by std::to_chars.
+  void AppendUint(std::uint64_t value) {
+    constexpr std::size_t kMaxDigits = 20;
+    if (kCsvBlockBytes - used_ < kMaxDigits) Flush();
+    char* cursor = block_.get() + used_;
+    used_ += std::to_chars(cursor, cursor + kMaxDigits, value).ptr - cursor;
+  }
+
+ private:
+  friend bool WriteOutputFile(const std::string& path, failpoint::Site site,
+                              const std::function<void(OutputSink&)>& body, std::string* error);
+
+  explicit OutputSink(int fd) : fd_(fd), block_(new char[kCsvBlockBytes]) {}
+
+  void AppendSlow(std::string_view text);
+  /// Writes the block's bytes to the file and empties the block.
+  void Flush();
+
+  int fd_;
+  int errno_ = 0;  // errno of the first failed write; 0 while all succeeded
+  std::unique_ptr<char[]> block_;
+  std::size_t used_ = 0;
+};
+
 /// The one writer behind every file ldiv writes (coded tables, dictionary
 /// sidecars, releases, the Anatomy pair, JSON and metrics reports). Checks
-/// `site`'s failpoint once, opens `path`, streams `body` into it, and
-/// closes before checking, since a full disk behind a buffered stream
-/// only surfaces at flush/close time. False with `*error` set to
-/// "cannot write '<path>'" (plus the errno and site when a failpoint
-/// fired) on failure.
+/// `site`'s failpoint once, opens `path`, runs `body` over an OutputSink
+/// on it, and closes before checking, since a failure can surface as late
+/// as the close. False with `*error` set to "cannot write '<path>': <why>"
+/// on failure, naming the errno of the first failed open, write or close
+/// (or the failpoint site that fired). A failed write removes the file
+/// when fstat showed a regular one, so no torn release stays on disk;
+/// device paths such as /dev/full are left alone.
 bool WriteOutputFile(const std::string& path, failpoint::Site site,
-                     const std::function<void(std::ostream&)>& body, std::string* error);
+                     const std::function<void(OutputSink&)>& body, std::string* error);
 
 /// Quotes `cell` for CSV output unconditionally, doubling inner quotes.
 std::string CsvQuoteCell(const std::string& cell);
@@ -101,16 +172,35 @@ std::string CsvQuoteCell(const std::string& cell);
 /// leading/trailing whitespace; returns it verbatim otherwise.
 std::string CsvEscapeCell(const std::string& cell);
 
-/// Renders one attribute value for human-readable output: its dictionary
-/// label (CSV-escaped) when the attribute carries one, its integer code
-/// otherwise. Shared by the release writers so the suppression view and
-/// the Anatomy pair decode identically.
-std::string DecodeCsvValue(const Attribute& attr, Value v);
+/// Renders the values of one attribute as output cells, built once per
+/// file: a dictionary-backed attribute's labels are CSV-escaped up front,
+/// a plain attribute's integer codes go through std::to_chars. Shared by
+/// the release writers so the suppression view and the Anatomy pair
+/// decode identically.
+class CsvCell {
+ public:
+  explicit CsvCell(const Attribute& attr);
 
-/// The inverse of DecodeCsvValue on one parsed cell: a dictionary-backed
+  /// The cell of `v`; the view lives until the next call.
+  std::string_view operator()(Value v) {
+    if (!labels_.empty()) return labels_[v];
+    return {digits_, static_cast<std::size_t>(
+                         std::to_chars(digits_, digits_ + sizeof digits_, v).ptr - digits_)};
+  }
+
+ private:
+  std::vector<std::string> labels_;  // escaped label per code; empty = integer codes
+  char digits_[10];                  // the longest Value in decimal
+};
+
+/// Appends a header row: the schema's CSV-escaped QI attribute names, then
+/// `last` (already escaped).
+void AppendCsvHeader(const Schema& schema, std::string_view last, OutputSink& out);
+
+/// The inverse of CsvCell on one parsed cell: a dictionary-backed
 /// attribute looks its label up, a plain one parses a non-negative
 /// integer below its domain size. False when the cell is neither.
-bool ParseCsvValue(const Attribute& attr, const std::string& cell, Value* out);
+bool ParseCsvValue(const Attribute& attr, std::string_view cell, Value* out);
 
 /// Writes `table` as CSV with a header row (QI attribute names then the SA
 /// name). Values are written as their integer codes; suppression markers

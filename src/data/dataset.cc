@@ -17,7 +17,7 @@ std::string Lowered(std::string_view text) {
   return lowered;
 }
 
-bool IsIntegerCell(const std::string& cell) {
+bool IsIntegerCell(std::string_view cell) {
   if (cell.empty()) return false;
   for (char c : cell) {
     if (c < '0' || c > '9') return false;
@@ -57,9 +57,10 @@ std::string_view CsvFormatName(CsvFormat format) {
 std::optional<CsvFormat> DetectCsvFormat(const std::string& path, std::string* error) {
   CsvError csv_error;
   CsvReader reader(path, &csv_error, /*check_failpoint=*/false);
-  std::vector<std::string> cells;
-  if (reader.ReadHeader(&cells) && reader.Next(&cells)) {
-    for (const std::string& cell : cells) {
+  std::vector<std::string> header;
+  std::vector<std::string_view> cells;
+  if (reader.ReadHeader(&header) && reader.Next(&cells)) {
+    for (std::string_view cell : cells) {
       if (!IsIntegerCell(cell)) return CsvFormat::kRaw;
     }
     return CsvFormat::kCoded;

@@ -202,13 +202,14 @@ TEST(RawCsv, TruncatedQuotedCellIsAPositionedErrorNotEofSuccess) {
 
   // The low-level splitter reports the open cell; the legacy silent
   // wrapper still closes it (writers never emit such lines).
-  std::vector<std::string> cells;
+  std::vector<std::string_view> cells;
+  std::string unquoted;
   std::size_t open_cell = 0;
-  EXPECT_FALSE(SplitCsvRecord("a,\"b", &cells, &open_cell));
+  EXPECT_FALSE(SplitCsvRecord("a,\"b", &cells, &unquoted, &open_cell));
   EXPECT_EQ(open_cell, 2u);
   ASSERT_EQ(cells.size(), 2u);
   EXPECT_EQ(cells[1], "b");
-  EXPECT_TRUE(SplitCsvRecord("a,\"b\"", &cells, &open_cell));
+  EXPECT_TRUE(SplitCsvRecord("a,\"b\"", &cells, &unquoted, &open_cell));
 }
 
 TEST(CodedCsv, HeaderIsValidatedAgainstSchema) {

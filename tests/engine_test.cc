@@ -441,8 +441,9 @@ TEST(Engine, ExecuteWritesOutputsAndMapsInfeasibleToExitCode) {
 }
 
 TEST(Engine, ExecuteReportsAFullDiskUnderTheEmitInputCopy) {
-  // 20 rows fit the stream's buffer, so /dev/full's ENOSPC only surfaces
-  // when the file is closed: the write must be checked after the close.
+  // 20 rows fit the writer's block, so /dev/full's ENOSPC only surfaces
+  // when the file is finished: the write must be checked after the close,
+  // and the message names the errno.
   Engine engine;
   JobSpec spec = SyntheticSpec();
   spec.ns = {20};
@@ -453,7 +454,7 @@ TEST(Engine, ExecuteReportsAFullDiskUnderTheEmitInputCopy) {
   Expected<ExecuteSummary, PipelineError> summary = engine.Execute(spec);
   ASSERT_FALSE(summary.ok()) << "a full disk under --emit-input must not exit 0";
   EXPECT_EQ(summary.error().code, PipelineErrorCode::kIo);
-  EXPECT_EQ(summary.error().message, "cannot write '/dev/full'");
+  EXPECT_EQ(summary.error().message, "cannot write '/dev/full': No space left on device");
 }
 
 }  // namespace
