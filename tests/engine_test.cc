@@ -9,7 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "cli/pipeline.h"
@@ -455,6 +460,43 @@ TEST(Engine, ExecuteReportsAFullDiskUnderTheEmitInputCopy) {
   ASSERT_FALSE(summary.ok()) << "a full disk under --emit-input must not exit 0";
   EXPECT_EQ(summary.error().code, PipelineErrorCode::kIo);
   EXPECT_EQ(summary.error().message, "cannot write '/dev/full': No space left on device");
+}
+
+// Runs a 200k-row TP job whose release outgrows a 64 KiB RLIMIT_FSIZE
+// (SIGXFSZ ignored, so the write fails with EFBIG) and prints what it saw
+// for the death test below to match.
+void WriteReleaseUnderAFileSizeLimit(const std::string& out) {
+  signal(SIGXFSZ, SIG_IGN);
+  const rlimit limit = {64 << 10, 64 << 10};
+  setrlimit(RLIMIT_FSIZE, &limit);
+  Engine engine;
+  JobSpec spec = SyntheticSpec();
+  spec.ns = {200000};
+  spec.ds = {4};
+  spec.ls = {4};
+  spec.algorithms = {Algorithm::kTp};
+  spec.out = out;
+  Expected<ExecuteSummary, PipelineError> summary = engine.Execute(spec);
+  std::fprintf(stderr, "io=%d message=%s left=%d\n",
+               !summary.ok() && summary.error().code == PipelineErrorCode::kIo,
+               summary.ok() ? "" : summary.error().message.c_str(),
+               access((out + ".csv").c_str(), F_OK) == 0);
+}
+
+// A write that fails mid-release must not leave a torn <out>.csv behind:
+// its last QI-group can be partial, and a partial group need not be
+// l-diverse. The limit is set in a re-executed child ("threadsafe"
+// death-test style) so it never binds the test process itself.
+TEST(EngineDeathTest, AFailedReleaseWriteLeavesNoFileBehind) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string out = testing::TempDir() + "engine_fsize_out";
+  EXPECT_EXIT(
+      {
+        WriteReleaseUnderAFileSizeLimit(out);
+        std::_Exit(0);
+      },
+      ::testing::ExitedWithCode(0),
+      "io=1 message=cannot write '.*engine_fsize_out\\.csv': File too large left=0");
 }
 
 }  // namespace
