@@ -11,18 +11,23 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "anonymity/generalization.h"
+#include "anonymity/release.h"
 #include "bench_util.h"
 #include "common/grouped_table.h"
+#include "common/csv.h"
 #include "common/histogram.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/workspace.h"
+#include "core/anonymizer.h"
 #include "core/pillar_index.h"
 #include "core/tp.h"
 #include "data/acs_generator.h"
@@ -407,6 +412,55 @@ void BM_GroupingArtifactHit(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupingArtifactHit)->Name("grouping_artifact_hit")->Arg(10000)->Arg(100000);
 
+// ---- CSV file layer ----
+//
+// The coded-CSV parse and the suppression-release write of the one-shot
+// publisher path (data.load and release.write in perfbench's trace), over
+// the SAL-4 rows, reported in bytes/s of file. The files sit in the temp
+// directory and stay in the page cache, so these series track the parse
+// and format cost, not the disk.
+
+std::string BenchCsvPath(const char* stem, std::size_t n) {
+  return (std::filesystem::temp_directory_path() /
+          ("ldiv_bench_" + std::string(stem) + "_" + std::to_string(n) + ".csv"))
+      .string();
+}
+
+void BM_CsvLoad(benchmark::State& state) {
+  const Table& t = SizedSal4(static_cast<std::size_t>(state.range(0)));
+  const std::string path = BenchCsvPath("csv_load", t.size());
+  std::string error;
+  if (!WriteTableCsv(t, path, &error)) {
+    state.SkipWithError(error.c_str());
+    return;
+  }
+  for (auto _ : state) {
+    std::optional<Table> loaded = ReadTableCsv(t.schema(), path);
+    benchmark::DoNotOptimize(loaded->size());
+  }
+  state.SetBytesProcessed(state.iterations() * std::filesystem::file_size(path));
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_CsvLoad)->Name("csv_load")->Arg(10000)->Arg(100000);
+
+void BM_ReleaseWrite(benchmark::State& state) {
+  const Table& t = SizedSal4(static_cast<std::size_t>(state.range(0)));
+  AnonymizerOptions options;
+  options.compute_kl = false;
+  const AnonymizationOutcome outcome = Anonymize(t, 6, Algorithm::kTp, options);
+  const std::string path = BenchCsvPath("release_write", t.size());
+  std::string error;
+  for (auto _ : state) {
+    if (!WriteReleaseCsv(t, *outcome.generalized, path, &error)) {
+      state.SkipWithError(error.c_str());
+      break;
+    }
+  }
+  state.SetBytesProcessed(state.iterations() * std::filesystem::file_size(path));
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_ReleaseWrite)->Name("release_write")->Arg(10000)->Arg(100000);
+
 void RegisterParallelSeries() {
   for (unsigned threads : {1u, 2u, 4u}) {
     std::string suffix = "/";
@@ -457,6 +511,8 @@ void RegisterBenchFields() {
     fields[series("grouping_paged")] = {n, 7, 1, ActiveSimd()};
     fields[series("sweep_cached")] = {n, 4, 1, ActiveSimd()};
     fields[series("grouping_artifact_hit")] = {n, 4, 1, ActiveSimd()};
+    fields[series("csv_load")] = {n, 4, 1, {}};
+    fields[series("release_write")] = {n, 4, 1, {}};
   }
   fields["BM_GroupedTableConstruction"] = {50000, 4, 1, ActiveSimd()};
   for (const char* name : {"BM_TpSolveFromGroups/2", "BM_TpSolveFromGroups/6",

@@ -141,7 +141,12 @@ CsvReader::CsvReader(const std::string& path, CsvError* error, bool check_failpo
       error_(error),
       check_failpoint_(check_failpoint),
       fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)),
-      block_(kCsvBlockBytes) {}
+      block_(kCsvBlockBytes) {
+  struct stat status;
+  if (fd_ >= 0 && ::fstat(fd_, &status) == 0 && S_ISREG(status.st_mode)) {
+    file_bytes_ = static_cast<std::uint64_t>(status.st_size);
+  }
+}
 
 CsvReader::~CsvReader() {
   if (fd_ >= 0) ::close(fd_);
@@ -206,25 +211,33 @@ bool CsvReader::ReadHeader(std::vector<std::string>* header) {
   return true;
 }
 
-bool CsvReader::Next(std::vector<std::string_view>* cells) {
-  std::string_view line;
-  while (ReadLine(&line)) {
+bool CsvReader::NextLine(std::string_view* line) {
+  while (ReadLine(line)) {
     ++line_;
     failpoint::Injection injection;
     if (check_failpoint_ && failpoint::Check(failpoint::Site::kCsvRead, &injection)) {
       return Fail(0, failpoint::Describe(failpoint::Site::kCsvRead, injection, "read failed"));
     }
-    if (line.empty() || line == "\r") continue;  // blank, or a bare CRLF carriage return
-    std::size_t open_cell = 0;
-    if (!SplitCsvRecord(line, cells, &unquoted_, &open_cell)) {
-      return Fail(open_cell, kUnterminatedQuote);
-    }
+    if (line->empty() || *line == "\r") continue;  // blank, or a bare CRLF carriage return
     return true;
   }
   // The end of the file and a mid-file read error both end the loop; a
   // truncated table must never pass as a complete one.
   if (read_errno_ != 0) return Fail(0, std::string("read failed: ") + std::strerror(read_errno_));
   return false;
+}
+
+bool CsvReader::Split(std::string_view line, std::vector<std::string_view>* cells) {
+  std::size_t open_cell = 0;
+  if (!SplitCsvRecord(line, cells, &unquoted_, &open_cell)) {
+    return Fail(open_cell, kUnterminatedQuote);
+  }
+  return true;
+}
+
+bool CsvReader::Next(std::vector<std::string_view>* cells) {
+  std::string_view line;
+  return NextLine(&line) && Split(line, cells);
 }
 
 void OutputSink::AppendSlow(std::string_view text) {
@@ -356,63 +369,158 @@ bool WriteTableCsv(const Table& table, const std::string& path, std::string* err
 
 namespace {
 
+// The row sinks of the streaming cores below: Begin(d, max_rows, error)
+// runs once after the header (false aborts with `*error` set), then
+// Add(qi_values, sa) once per data row. Every data row spans at least
+// 2(d+1) bytes of the file -- d+1 non-empty cells and their separators --
+// so max_rows bounds the row count and the in-RAM sink reserves it up
+// front: its columns never reallocate, and untouched capacity costs no
+// resident memory.
+std::uint64_t MaxRows(const CsvReader& reader, std::size_t d) {
+  return reader.file_bytes() / (2 * (d + 1)) + 1;
+}
+
+// The in-RAM sink of both readers: plain column vectors, built into a
+// Table once with FromColumns instead of a checked AppendRow per row.
+struct ColumnSink {
+  std::vector<std::vector<Value>> qi;
+  std::vector<SaValue> sa;
+
+  bool Begin(std::size_t d, std::uint64_t max_rows, std::string* /*error*/) {
+    qi.resize(d);
+    for (std::vector<Value>& column : qi) column.reserve(max_rows);
+    sa.reserve(max_rows);
+    return true;
+  }
+
+  void Add(std::span<const Value> row, SaValue value) {
+    for (std::size_t i = 0; i < row.size(); ++i) qi[i].push_back(row[i]);
+    sa.push_back(value);
+  }
+};
+
+// The paged sink of both readers: rows stream into a PagedTableBuilder's
+// page staging, so the row set is never materialized in RAM.
+struct PagedSink {
+  const PagedTableBuilder::Options& options;
+  std::unique_ptr<PagedTableBuilder> builder;
+
+  bool Begin(std::size_t d, std::uint64_t /*max_rows*/, std::string* error) {
+    builder = PagedTableBuilder::Create(d, options, error);
+    return builder != nullptr;
+  }
+
+  void Add(std::span<const Value> row, SaValue value) { builder->AppendRow(row, value); }
+
+  std::unique_ptr<PagedTable> Finish(Schema schema, const std::string& path, CsvError* error) {
+    std::string build_error;
+    std::unique_ptr<PagedTable> table = builder->Finish(std::move(schema), &build_error);
+    if (table == nullptr) SetError(error, path, 0, 0, build_error);
+    return table;
+  }
+};
+
+// Calls sink.Begin for `d` QI columns; a failure becomes a file-level
+// error.
+template <typename Sink>
+bool BeginSink(Sink& sink, std::size_t d, const CsvReader& reader, const std::string& path,
+               CsvError* error) {
+  std::string begin_error;
+  if (sink.Begin(d, MaxRows(reader, d), &begin_error)) return true;
+  SetError(error, path, 0, 0, begin_error);
+  return false;
+}
+
+// The fast path of the coded readers: a line of exactly d+1 unquoted
+// in-domain integer cells parses straight off the line, std::from_chars
+// doing the scan. It accepts exactly the lines the general path accepts
+// without quotes, with the same values; any other line (a quote, a sign,
+// a bad, long or out-of-domain cell, a ragged row) returns false.
+bool ParsePlainCodedRow(std::string_view line, std::span<const std::size_t> domains,
+                        std::span<Value> row) {
+  const char* cursor = line.data();
+  const char* end = cursor + line.size();
+  if (cursor != end && end[-1] == '\r') --end;  // CRLF input
+  for (std::size_t i = 0; i < domains.size(); ++i) {
+    Value value = 0;
+    const std::from_chars_result parsed = std::from_chars(cursor, end, value);
+    if (parsed.ec != std::errc() || parsed.ptr - cursor > 10 || value >= domains[i]) return false;
+    row[i] = value;
+    if (i + 1 == domains.size()) return parsed.ptr == end;
+    if (parsed.ptr == end || *parsed.ptr != ',') return false;
+    cursor = parsed.ptr + 1;
+  }
+  return false;
+}
+
+// The general path of the coded readers: checks one split row's cell
+// count, integer syntax and domains, filling `row` or failing `reader`
+// at the offending cell.
+bool ParseCodedCells(const Schema& schema, std::span<const std::size_t> domains,
+                     const std::vector<std::string_view>& cells, CsvReader* reader,
+                     std::span<Value> row) {
+  if (cells.size() != domains.size()) {
+    return reader->Fail(0, "row has " + std::to_string(cells.size()) + " cells; expected " +
+                               std::to_string(domains.size()));
+  }
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    std::uint64_t value = 0;
+    if (!ParseUintCell(cells[i], &value)) {
+      return reader->Fail(i + 1, "cell '" + std::string(cells[i]) +
+                                     "' is not a non-negative integer code (is this a raw " +
+                                     "string-valued CSV? load it with format 'raw')");
+    }
+    if (value >= domains[i]) {
+      const Attribute& attr =
+          i == schema.qi_count() ? schema.sensitive() : schema.qi(static_cast<AttrId>(i));
+      return reader->Fail(i + 1, "value " + std::to_string(value) + " is outside the domain [0, " +
+                                     std::to_string(attr.domain_size) + ") of attribute '" +
+                                     attr.name + "'");
+    }
+    row[i] = static_cast<Value>(value);
+  }
+  return true;
+}
+
 // Streaming core of the coded readers: validates the header against
 // `schema`, then parses and domain-checks each data row and hands it to
-// row_fn(qi_values, sa). Both the in-RAM and the paged reader are this
-// loop plus a different sink, which is what keeps their outputs
-// byte-identical.
-template <typename RowFn>
+// the sink. Both the in-RAM and the paged reader are this loop plus a
+// different sink, which is what keeps their outputs byte-identical.
+template <typename Sink>
 bool StreamCodedCsv(const Schema& schema, const std::string& path, CsvError* error,
-                    RowFn&& row_fn) {
+                    Sink& sink) {
   CsvReader reader(path, error);
   std::vector<std::string> header;
   if (!reader.ReadHeader(&header) || !ValidateHeader(schema, header, &reader)) return false;
 
   const std::size_t d = schema.qi_count();
+  if (!BeginSink(sink, d, reader, path, error)) return false;
   std::vector<std::size_t> domains(d + 1);
   for (std::size_t i = 0; i < d; ++i) domains[i] = schema.qi(static_cast<AttrId>(i)).domain_size;
   domains[d] = schema.sa_domain_size();
-  std::vector<Value> qi(d);
+  std::vector<Value> row(d + 1);  // the QI values, then the SA value
   std::vector<std::string_view> cells;
-  while (reader.Next(&cells)) {
-    if (cells.size() != d + 1) {
-      return reader.Fail(0, "row has " + std::to_string(cells.size()) + " cells; expected " +
-                                std::to_string(d + 1));
-    }
-    SaValue sa = 0;
-    for (std::size_t i = 0; i <= d; ++i) {
-      std::uint64_t value = 0;
-      if (!ParseUintCell(cells[i], &value)) {
-        return reader.Fail(i + 1, "cell '" + std::string(cells[i]) +
-                                      "' is not a non-negative integer code (is this a raw " +
-                                      "string-valued CSV? load it with format 'raw')");
-      }
-      if (value >= domains[i]) {
-        const Attribute& attr = i == d ? schema.sensitive() : schema.qi(static_cast<AttrId>(i));
-        return reader.Fail(i + 1, "value " + std::to_string(value) + " is outside the domain [0, " +
-                                      std::to_string(attr.domain_size) + ") of attribute '" +
-                                      attr.name + "'");
-      }
-      if (i < d) {
-        qi[i] = static_cast<Value>(value);
-      } else {
-        sa = static_cast<SaValue>(value);
+  std::string_view line;
+  while (reader.NextLine(&line)) {
+    if (!ParsePlainCodedRow(line, domains, row)) {
+      // Anything else takes the general path: split (quotes and all) and
+      // accept the row or reject it with its positioned error.
+      if (!reader.Split(line, &cells) || !ParseCodedCells(schema, domains, cells, &reader, row)) {
+        return false;
       }
     }
-    row_fn(std::span<const Value>(qi), sa);
+    sink.Add(std::span<const Value>(row).first(d), row[d]);
   }
   return !reader.failed();
 }
 
-// Streaming core of the raw readers: parses + validates the header, calls
-// on_header(d) once (false aborts; the callback has set `error`), then
-// dictionary-encodes each row and hands it to row_fn(qi_values, sa).
-// Fills `out_schema` (with the dictionaries attached) on success.
+// Streaming core of the raw readers: parses + validates the header,
+// begins the sink, then dictionary-encodes each row and hands it to the
+// sink. Fills `out_schema` (with the dictionaries attached) on success.
 // Dictionary codes are insertion-ordered by first appearance in file
 // order, so every sink sees the identical encoding.
-template <typename HeaderFn, typename RowFn>
-bool StreamRawCsv(const std::string& path, CsvError* error, const HeaderFn& on_header,
-                  RowFn&& row_fn, Schema* out_schema) {
+template <typename Sink>
+bool StreamRawCsv(const std::string& path, CsvError* error, Sink& sink, Schema* out_schema) {
   CsvReader reader(path, error);
   std::vector<std::string> header;
   if (!reader.ReadHeader(&header)) return false;
@@ -433,7 +541,7 @@ bool StreamRawCsv(const std::string& path, CsvError* error, const HeaderFn& on_h
   }
 
   const std::size_t d = header.size() - 1;
-  if (!on_header(d)) return false;
+  if (!BeginSink(sink, d, reader, path, error)) return false;
   std::vector<ValueDictionary> dictionaries(d + 1);
   std::vector<Value> qi(d);
   std::vector<std::string_view> cells;
@@ -460,7 +568,7 @@ bool StreamRawCsv(const std::string& path, CsvError* error, const HeaderFn& on_h
         sa = static_cast<SaValue>(code);
       }
     }
-    row_fn(std::span<const Value>(qi), sa);
+    sink.Add(qi, sa);
     ++rows;
   }
   if (reader.failed()) return false;
@@ -480,23 +588,10 @@ bool StreamRawCsv(const std::string& path, CsvError* error, const HeaderFn& on_h
   return true;
 }
 
-// The in-RAM sink of both readers: plain column vectors, built into a
-// Table once with FromColumns instead of a checked AppendRow per row.
-struct ColumnSink {
-  std::vector<std::vector<Value>> qi;
-  std::vector<SaValue> sa;
-
-  void operator()(std::span<const Value> row, SaValue value) {
-    for (std::size_t i = 0; i < row.size(); ++i) qi[i].push_back(row[i]);
-    sa.push_back(value);
-  }
-};
-
 }  // namespace
 
 std::optional<Table> ReadTableCsv(const Schema& schema, const std::string& path, CsvError* error) {
   ColumnSink sink;
-  sink.qi.resize(schema.qi_count());
   if (!StreamCodedCsv(schema, path, error, sink)) return std::nullopt;
   return Table::FromColumns(schema, std::move(sink.qi), std::move(sink.sa));
 }
@@ -504,59 +599,25 @@ std::optional<Table> ReadTableCsv(const Schema& schema, const std::string& path,
 std::optional<Table> ReadRawTableCsv(const std::string& path, CsvError* error) {
   ColumnSink sink;
   Schema schema;
-  const bool ok = StreamRawCsv(
-      path, error,
-      [&sink](std::size_t d) {
-        sink.qi.resize(d);
-        return true;
-      },
-      sink, &schema);
-  if (!ok) return std::nullopt;
+  if (!StreamRawCsv(path, error, sink, &schema)) return std::nullopt;
   return Table::FromColumns(std::move(schema), std::move(sink.qi), std::move(sink.sa));
 }
 
 std::unique_ptr<PagedTable> ReadTableCsvPaged(const Schema& schema, const std::string& path,
                                               const PagedTableBuilder::Options& options,
                                               CsvError* error) {
-  std::string build_error;
-  std::unique_ptr<PagedTableBuilder> builder =
-      PagedTableBuilder::Create(schema.qi_count(), options, &build_error);
-  if (builder == nullptr) {
-    SetError(error, path, 0, 0, build_error);
-    return nullptr;
-  }
-  if (!StreamCodedCsv(schema, path, error, [&builder](std::span<const Value> qi, SaValue sa) {
-        builder->AppendRow(qi, sa);
-      })) {
-    return nullptr;
-  }
-  std::unique_ptr<PagedTable> table = builder->Finish(schema, &build_error);
-  if (table == nullptr) SetError(error, path, 0, 0, build_error);
-  return table;
+  PagedSink sink{options, nullptr};
+  if (!StreamCodedCsv(schema, path, error, sink)) return nullptr;
+  return sink.Finish(schema, path, error);
 }
 
 std::unique_ptr<PagedTable> ReadRawTableCsvPaged(const std::string& path,
                                                  const PagedTableBuilder::Options& options,
                                                  CsvError* error) {
-  std::string build_error;
-  std::unique_ptr<PagedTableBuilder> builder;
+  PagedSink sink{options, nullptr};
   Schema schema;
-  const bool ok = StreamRawCsv(
-      path, error,
-      [&builder, &options, &build_error, &error, &path](std::size_t d) {
-        builder = PagedTableBuilder::Create(d, options, &build_error);
-        if (builder == nullptr) {
-          SetError(error, path, 0, 0, build_error);
-          return false;
-        }
-        return true;
-      },
-      [&builder](std::span<const Value> qi, SaValue sa) { builder->AppendRow(qi, sa); },
-      &schema);
-  if (!ok) return nullptr;
-  std::unique_ptr<PagedTable> table = builder->Finish(std::move(schema), &build_error);
-  if (table == nullptr) SetError(error, path, 0, 0, build_error);
-  return table;
+  if (!StreamRawCsv(path, error, sink, &schema)) return nullptr;
+  return sink.Finish(std::move(schema), path, error);
 }
 
 bool WriteDictionaryCsv(const Schema& schema, const std::string& path, std::string* error) {

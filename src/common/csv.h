@@ -81,14 +81,27 @@ class CsvReader {
 
   /// Splits the next non-blank data line into `*cells`, views that live
   /// until the next call. False at the end of the file and on failure;
-  /// failed() tells the two apart.
+  /// failed() tells the two apart. Next is NextLine then Split.
   bool Next(std::vector<std::string_view>* cells);
+
+  /// The next non-blank data line, without its newline, as a view that
+  /// lives until the next call; false as for Next. A loader that can take
+  /// a plain line apart faster than Split checks it itself and splits the
+  /// rest.
+  bool NextLine(std::string_view* line);
+
+  /// Splits a NextLine view into `*cells` as Next does; false (failed)
+  /// when the line ends inside an open quote.
+  bool Split(std::string_view line, std::vector<std::string_view>* cells);
 
   /// Records a failure at the current line (`column` 0 = the whole line)
   /// and returns false, so a row check can `return reader.Fail(...)`.
   bool Fail(std::size_t column, std::string reason);
 
   bool failed() const { return failed_; }
+
+  /// Size of the file when it is a regular one, 0 otherwise.
+  std::uint64_t file_bytes() const { return file_bytes_; }
 
  private:
   /// The next raw line (without its newline), or false at the end of the
@@ -99,6 +112,7 @@ class CsvReader {
   CsvError* error_;
   bool check_failpoint_;
   int fd_;
+  std::uint64_t file_bytes_ = 0;
   std::vector<char> block_;
   std::size_t begin_ = 0;  // first unconsumed byte of block_
   std::size_t end_ = 0;    // one past the last byte read into block_

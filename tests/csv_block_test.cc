@@ -4,7 +4,9 @@
 // unterminated quote in the final partial block. Every case runs through
 // all five loaders built on the reader -- coded and raw, in RAM and paged,
 // plus ReadReleaseCsv -- which must agree on the rows, on the positioned
-// error (line, column, reason), and leave no spill file behind.
+// error (line, column, reason), and leave no spill file behind. The last
+// test pins the coded loaders' plain-row fast path to the general path on
+// the lines it must hand over.
 
 #include <gtest/gtest.h>
 
@@ -260,6 +262,48 @@ TEST_F(CsvBlock, UnterminatedQuoteInTheFinalPartialBlock) {
   ExpectCodedError(path, At(open, 2, reason));
   ExpectRawError(path, At(open, 2, reason));
   std::remove(path.c_str());
+}
+
+TEST_F(CsvBlock, PlainRowFastPathHandsOverEveryOtherLine) {
+  // Quoted numeric cells and CRLF endings load like plain ones.
+  CsvFile file;
+  file.text += "\"12\",3\n7,\"4\"\r\n";
+  file.rows = {{"12", "3"}, {"7", "4"}};
+  file.Row("999", "49", "\r\n");
+  std::string path = file.Save("fast_path");
+  ExpectCodedLoads(file, path);
+  std::remove(path.c_str());
+
+  const std::string not_a_code =
+      "' is not a non-negative integer code (is this a raw string-valued CSV? load it with "
+      "format 'raw')";
+  const struct {
+    const char* line;
+    std::size_t column;
+    std::string reason;
+  } rejected[] = {
+      {"+1,0", 1, "cell '+1" + not_a_code},
+      {"-0,0", 1, "cell '-0" + not_a_code},
+      {" 1,0", 1, "cell ' 1" + not_a_code},
+      {"12a,0", 1, "cell '12a" + not_a_code},
+      {",1", 1, "cell '" + not_a_code},
+      {"1,0\r\r", 2, "cell '0\r" + not_a_code},
+      {"00000000001,0", 1, "cell '00000000001" + not_a_code},
+      {"4294967296,0", 1, "cell '4294967296" + not_a_code},
+      {"5000,0", 1, "value 5000 is outside the domain [0, 1000) of attribute 'A1'"},
+      {"1,50", 2, "value 50 is outside the domain [0, 50) of attribute 'B'"},
+      {"1,0,", 0, "row has 3 cells; expected 2"},
+      {"1", 0, "row has 1 cells; expected 2"},
+  };
+  for (const auto& c : rejected) {
+    SCOPED_TRACE(c.line);
+    CsvFile bad;
+    bad.Row("1", "0");
+    bad.text += std::string(c.line) + "\n";
+    path = bad.Save("fast_path_bad");
+    ExpectCodedError(path, At(3, c.column, c.reason));
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace
