@@ -141,12 +141,7 @@ CsvReader::CsvReader(const std::string& path, CsvError* error, bool check_failpo
       error_(error),
       check_failpoint_(check_failpoint),
       fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)),
-      block_(kCsvBlockBytes) {
-  struct stat status;
-  if (fd_ >= 0 && ::fstat(fd_, &status) == 0 && S_ISREG(status.st_mode)) {
-    file_bytes_ = static_cast<std::uint64_t>(status.st_size);
-  }
-}
+      block_(kCsvBlockBytes) {}
 
 CsvReader::~CsvReader() {
   if (fd_ >= 0) ::close(fd_);
@@ -278,8 +273,6 @@ bool WriteOutputFile(const std::string& path, failpoint::Site site,
     *error = "cannot write '" + path + "': " + std::strerror(errno);
     return false;
   }
-  struct stat status;
-  const bool regular = ::fstat(fd, &status) == 0 && S_ISREG(status.st_mode);
   OutputSink sink(fd);
   body(sink);
   sink.Flush();
@@ -289,10 +282,15 @@ bool WriteOutputFile(const std::string& path, failpoint::Site site,
   if (::close(fd) != 0 && failure == 0) failure = errno;
   if (failure == 0) return true;
   // A partial release can end in a partial QI-group, which need not be
-  // l-diverse: remove it, but never a device such as /dev/full.
-  if (regular) ::unlink(path.c_str());
+  // l-diverse.
+  RemoveRegularFile(path);
   *error = "cannot write '" + path + "': " + std::strerror(failure);
   return false;
+}
+
+void RemoveRegularFile(const std::string& path) {
+  struct stat status;
+  if (::stat(path.c_str(), &status) == 0 && S_ISREG(status.st_mode)) ::unlink(path.c_str());
 }
 
 std::string CsvQuoteCell(const std::string& cell) {
@@ -369,16 +367,9 @@ bool WriteTableCsv(const Table& table, const std::string& path, std::string* err
 
 namespace {
 
-// The row sinks of the streaming cores below: Begin(d, max_rows, error)
-// runs once after the header (false aborts with `*error` set), then
-// Add(qi_values, sa) once per data row. Every data row spans at least
-// 2(d+1) bytes of the file -- d+1 non-empty cells and their separators --
-// so max_rows bounds the row count and the in-RAM sink reserves it up
-// front: its columns never reallocate, and untouched capacity costs no
-// resident memory.
-std::uint64_t MaxRows(const CsvReader& reader, std::size_t d) {
-  return reader.file_bytes() / (2 * (d + 1)) + 1;
-}
+// The row sinks of the streaming cores below: Begin(d) runs once after
+// the header (false aborts; the sink has filled the error), then
+// Add(qi_values, sa) once per data row.
 
 // The in-RAM sink of both readers: plain column vectors, built into a
 // Table once with FromColumns instead of a checked AppendRow per row.
@@ -386,10 +377,8 @@ struct ColumnSink {
   std::vector<std::vector<Value>> qi;
   std::vector<SaValue> sa;
 
-  bool Begin(std::size_t d, std::uint64_t max_rows, std::string* /*error*/) {
+  bool Begin(std::size_t d) {
     qi.resize(d);
-    for (std::vector<Value>& column : qi) column.reserve(max_rows);
-    sa.reserve(max_rows);
     return true;
   }
 
@@ -400,36 +389,30 @@ struct ColumnSink {
 };
 
 // The paged sink of both readers: rows stream into a PagedTableBuilder's
-// page staging, so the row set is never materialized in RAM.
+// page staging, so the row set is never materialized in RAM. Builder
+// failures are file-level errors of `path`.
 struct PagedSink {
   const PagedTableBuilder::Options& options;
+  const std::string& path;
+  CsvError* error;
   std::unique_ptr<PagedTableBuilder> builder;
 
-  bool Begin(std::size_t d, std::uint64_t /*max_rows*/, std::string* error) {
-    builder = PagedTableBuilder::Create(d, options, error);
+  bool Begin(std::size_t d) {
+    std::string build_error;
+    builder = PagedTableBuilder::Create(d, options, &build_error);
+    if (builder == nullptr) SetError(error, path, 0, 0, build_error);
     return builder != nullptr;
   }
 
   void Add(std::span<const Value> row, SaValue value) { builder->AppendRow(row, value); }
 
-  std::unique_ptr<PagedTable> Finish(Schema schema, const std::string& path, CsvError* error) {
+  std::unique_ptr<PagedTable> Finish(Schema schema) {
     std::string build_error;
     std::unique_ptr<PagedTable> table = builder->Finish(std::move(schema), &build_error);
     if (table == nullptr) SetError(error, path, 0, 0, build_error);
     return table;
   }
 };
-
-// Calls sink.Begin for `d` QI columns; a failure becomes a file-level
-// error.
-template <typename Sink>
-bool BeginSink(Sink& sink, std::size_t d, const CsvReader& reader, const std::string& path,
-               CsvError* error) {
-  std::string begin_error;
-  if (sink.Begin(d, MaxRows(reader, d), &begin_error)) return true;
-  SetError(error, path, 0, 0, begin_error);
-  return false;
-}
 
 // The fast path of the coded readers: a line of exactly d+1 unquoted
 // in-domain integer cells parses straight off the line, std::from_chars
@@ -494,7 +477,7 @@ bool StreamCodedCsv(const Schema& schema, const std::string& path, CsvError* err
   if (!reader.ReadHeader(&header) || !ValidateHeader(schema, header, &reader)) return false;
 
   const std::size_t d = schema.qi_count();
-  if (!BeginSink(sink, d, reader, path, error)) return false;
+  if (!sink.Begin(d)) return false;
   std::vector<std::size_t> domains(d + 1);
   for (std::size_t i = 0; i < d; ++i) domains[i] = schema.qi(static_cast<AttrId>(i)).domain_size;
   domains[d] = schema.sa_domain_size();
@@ -541,7 +524,7 @@ bool StreamRawCsv(const std::string& path, CsvError* error, Sink& sink, Schema* 
   }
 
   const std::size_t d = header.size() - 1;
-  if (!BeginSink(sink, d, reader, path, error)) return false;
+  if (!sink.Begin(d)) return false;
   std::vector<ValueDictionary> dictionaries(d + 1);
   std::vector<Value> qi(d);
   std::vector<std::string_view> cells;
@@ -606,18 +589,18 @@ std::optional<Table> ReadRawTableCsv(const std::string& path, CsvError* error) {
 std::unique_ptr<PagedTable> ReadTableCsvPaged(const Schema& schema, const std::string& path,
                                               const PagedTableBuilder::Options& options,
                                               CsvError* error) {
-  PagedSink sink{options, nullptr};
+  PagedSink sink{options, path, error, nullptr};
   if (!StreamCodedCsv(schema, path, error, sink)) return nullptr;
-  return sink.Finish(schema, path, error);
+  return sink.Finish(schema);
 }
 
 std::unique_ptr<PagedTable> ReadRawTableCsvPaged(const std::string& path,
                                                  const PagedTableBuilder::Options& options,
                                                  CsvError* error) {
-  PagedSink sink{options, nullptr};
+  PagedSink sink{options, path, error, nullptr};
   Schema schema;
   if (!StreamRawCsv(path, error, sink, &schema)) return nullptr;
-  return sink.Finish(std::move(schema), path, error);
+  return sink.Finish(std::move(schema));
 }
 
 bool WriteDictionaryCsv(const Schema& schema, const std::string& path, std::string* error) {

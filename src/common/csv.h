@@ -100,9 +100,6 @@ class CsvReader {
 
   bool failed() const { return failed_; }
 
-  /// Size of the file when it is a regular one, 0 otherwise.
-  std::uint64_t file_bytes() const { return file_bytes_; }
-
  private:
   /// The next raw line (without its newline), or false at the end of the
   /// file or on a read error (read_errno_ set).
@@ -112,7 +109,6 @@ class CsvReader {
   CsvError* error_;
   bool check_failpoint_;
   int fd_;
-  std::uint64_t file_bytes_ = 0;
   std::vector<char> block_;
   std::size_t begin_ = 0;  // first unconsumed byte of block_
   std::size_t end_ = 0;    // one past the last byte read into block_
@@ -174,10 +170,13 @@ class OutputSink {
 /// as the close. False with `*error` set to "cannot write '<path>': <why>"
 /// on failure, naming the errno of the first failed open, write or close
 /// (or the failpoint site that fired). A failed write removes the file
-/// when fstat showed a regular one, so no torn release stays on disk;
-/// device paths such as /dev/full are left alone.
+/// through RemoveRegularFile, so no torn release stays on disk.
 bool WriteOutputFile(const std::string& path, failpoint::Site site,
                      const std::function<void(OutputSink&)>& body, std::string* error);
+
+/// Removes `path` when it names a regular file; a device such as
+/// /dev/full, a directory or a missing path is left alone.
+void RemoveRegularFile(const std::string& path);
 
 /// Quotes `cell` for CSV output unconditionally, doubling inner quotes.
 std::string CsvQuoteCell(const std::string& cell);
@@ -198,8 +197,8 @@ class CsvCell {
   /// The cell of `v`; the view lives until the next call.
   std::string_view operator()(Value v) {
     if (!labels_.empty()) return labels_[v];
-    return {digits_, static_cast<std::size_t>(
-                         std::to_chars(digits_, digits_ + sizeof digits_, v).ptr - digits_)};
+    const char* end = std::to_chars(digits_, digits_ + sizeof digits_, v).ptr;
+    return {digits_, static_cast<std::size_t>(end - digits_)};
   }
 
  private:

@@ -204,8 +204,16 @@ bool WriteReleaseForOutcome(const Table& table, const AnonymizationOutcome& outc
       }
     }
   };
-  return WriteOutputFile(stem + ".csv", failpoint::Site::kReleaseWrite, write_qit, error) &&
-         WriteOutputFile(stem + "_sa.csv", failpoint::Site::kReleaseWrite, write_st, error);
+  if (!WriteOutputFile(stem + ".csv", failpoint::Site::kReleaseWrite, write_qit, error)) {
+    return false;
+  }
+  if (WriteOutputFile(stem + "_sa.csv", failpoint::Site::kReleaseWrite, write_st, error)) {
+    return true;
+  }
+  // The pair is published whole or not at all: without its sensitive
+  // table the exact-QI half is not the release the report describes.
+  RemoveRegularFile(stem + ".csv");
+  return false;
 }
 
 std::optional<PipelineError> WriteJobOutputs(const JobSpec& spec, const JobResult& result,

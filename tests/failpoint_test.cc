@@ -330,6 +330,21 @@ TEST_F(FailpointTest, DictionarySidecarTakesTheReportWriteSite) {
   std::remove(spec.input.c_str());
 }
 
+TEST_F(FailpointTest, AFailedSensitiveTableRemovesTheAnatomyPairsQiHalf) {
+  // The QI table lands first; when the sensitive table then fails, the
+  // pair is incomplete and the QI half must not stay behind.
+  const JobSpec spec = AnatomySpec();
+  failpoint::Arm(Site::kReleaseWrite, Injection{ENOSPC, false}, /*nth=*/2, /*count=*/1);
+  Engine engine;
+  Expected<ExecuteSummary, PipelineError> result = engine.Execute(spec);
+  ASSERT_FALSE(result.ok()) << "armed release.write but the run succeeded";
+  EXPECT_EQ(result.error().code, PipelineErrorCode::kIo);
+  EXPECT_NE(result.error().message.find("'" + spec.out + "_sa.csv'"), std::string::npos)
+      << result.error().message;
+  EXPECT_FALSE(std::ifstream(spec.out + ".csv").good()) << "the QI half stayed on disk";
+  RemoveOutputs(spec.out);
+}
+
 TEST_F(FailpointTest, MatrixDaemonSitesKeepTheDaemonServing) {
   DaemonOptions options;
   options.socket_path = testing::TempDir() + "failpoint_daemon.sock";
