@@ -180,10 +180,7 @@ bool CsvReader::ReadLine(std::string_view* line) {
     do {
       got = ::read(fd_, block_.data() + end_, block_.size() - end_);
     } while (got < 0 && errno == EINTR);
-    if (got < 0) {
-      read_errno_ = errno;
-      return false;
-    }
+    if (got < 0) return Fail(0, std::string("read failed: ") + std::strerror(errno));
     if (got == 0) eof_ = true;
     end_ += static_cast<std::size_t>(got);
   }
@@ -194,16 +191,13 @@ bool CsvReader::ReadHeader(std::vector<std::string>* header) {
   line_ = 1;
   std::string_view line;
   if (!ReadLine(&line)) {
-    // A read error is never taken for an empty file.
-    if (read_errno_ != 0) return Fail(0, std::string("read failed: ") + std::strerror(read_errno_));
-    return Fail(0, "empty file (missing header row)");
+    if (!failed_) Fail(0, "empty file (missing header row)");  // not after a read error
+    return false;
   }
   std::vector<std::string_view> cells;
-  std::size_t open_cell = 0;
-  const bool closed = SplitCsvRecord(line, &cells, &unquoted_, &open_cell);
+  const bool closed = Split(line, &cells);
   header->assign(cells.begin(), cells.end());
-  if (!closed) return Fail(open_cell, kUnterminatedQuote);
-  return true;
+  return closed;
 }
 
 bool CsvReader::NextLine(std::string_view* line) {
@@ -216,10 +210,7 @@ bool CsvReader::NextLine(std::string_view* line) {
     if (line->empty() || *line == "\r") continue;  // blank, or a bare CRLF carriage return
     return true;
   }
-  // The end of the file and a mid-file read error both end the loop; a
-  // truncated table must never pass as a complete one.
-  if (read_errno_ != 0) return Fail(0, std::string("read failed: ") + std::strerror(read_errno_));
-  return false;
+  return false;  // the end of the file, or a read error ReadLine has failed
 }
 
 bool CsvReader::Split(std::string_view line, std::vector<std::string_view>* cells) {

@@ -2,6 +2,7 @@
 #define LDIV_COMMON_CSV_H_
 
 #include <charconv>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -102,7 +103,8 @@ class CsvReader {
 
  private:
   /// The next raw line (without its newline), or false at the end of the
-  /// file or on a read error (read_errno_ set).
+  /// file and on a read error, which fails the reader: a truncated table
+  /// must never pass as a complete one.
   bool ReadLine(std::string_view* line);
 
   std::string path_;
@@ -113,7 +115,6 @@ class CsvReader {
   std::size_t begin_ = 0;  // first unconsumed byte of block_
   std::size_t end_ = 0;    // one past the last byte read into block_
   bool eof_ = false;
-  int read_errno_ = 0;
   std::string unquoted_;  // backing store of the current line's quoted cells
   std::size_t line_ = 0;  // 1-based number of the last line read; the header is 1
   bool failed_ = false;
