@@ -240,6 +240,18 @@ void BM_KlMultiDim(benchmark::State& state) {
 }
 BENCHMARK(BM_KlMultiDim)->Name("kl_multidim")->Arg(10000)->Arg(100000);
 
+void BM_KlAnatomy(benchmark::State& state) {
+  const Table& t = SizedSal4(static_cast<std::size_t>(state.range(0)));
+  AnonymizerOptions options;
+  options.compute_kl = false;
+  const AnonymizationOutcome anatomy = Anonymize(t, 6, Algorithm::kAnatomy, options);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(KlDivergenceAnatomy(t, anatomy.partition));
+  }
+  state.SetItemsProcessed(state.iterations() * t.size());
+}
+BENCHMARK(BM_KlAnatomy)->Name("kl_anatomy")->Arg(10000)->Arg(100000);
+
 // ---- Columnar scan-layout series ----
 //
 // The same grouping / KL workloads over the full-width (all seven QI
@@ -505,6 +517,7 @@ void RegisterBenchFields() {
     fields[series("mondrian")] = {n, 4, 1, ActiveSimd()};
     fields[series("kl_suppression")] = {n, 4, 1, ActiveSimd()};
     fields[series("kl_multidim")] = {n, 4, 1, ActiveSimd()};
+    fields[series("kl_anatomy")] = {n, 4, 1};
     fields[series("grouping_columnar")] = {n, 7, 1, ActiveSimd()};
     fields[series("kl_multidim_columnar")] = {n, 7, 1, ActiveSimd()};
     fields[series("ingest_stream")] = {n, 7, 1, ActiveSimd()};

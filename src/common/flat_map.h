@@ -21,6 +21,16 @@ inline std::uint64_t MixU64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// FNV-1a over 32-bit values: start from kFnvOffsetBasis and fold each
+/// value in with FnvFold. The signature hashes of QI rows are built this
+/// way, column by column or row by row, and masked through MixU64.
+inline constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
+inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+
+inline std::uint64_t FnvFold(std::uint64_t hash, std::uint32_t value) {
+  return (hash ^ value) * kFnvPrime;
+}
+
 /// Open-addressing hash map from 64-bit keys to small trivially-copyable
 /// values, built for the packed-point and packed-cell accumulation loops of
 /// the KL estimators and for QI-signature indexing. Compared with

@@ -39,14 +39,11 @@ constexpr std::size_t kRowGrain = 16384;
 
 std::size_t ShardOf(std::uint64_t mixed) { return mixed >> kShardShift; }
 
-constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-/// FNV-1a column fold: hashes[i] = (hashes[i] ^ col[i]) * kFnvPrime. One
-/// call per attribute column folds per-row signature hashes without
+/// FNV-1a column fold: hashes[i] = FnvFold(hashes[i], col[i]). One call
+/// per attribute column folds per-row signature hashes without
 /// materializing rows.
 void FnvFoldColumn(std::uint64_t* hashes, const Value* col, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) hashes[i] = (hashes[i] ^ col[i]) * kFnvPrime;
+  for (std::size_t i = 0; i < n; ++i) hashes[i] = FnvFold(hashes[i], col[i]);
 }
 
 /// Rough resident scratch of the sharded build: the u64 hash array plus

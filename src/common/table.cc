@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "common/check.h"
+#include "common/flat_map.h"
 #include "common/rng.h"
 
 namespace ldv {
@@ -148,6 +149,38 @@ Table Table::SampleRows(std::size_t count, Rng& rng) const {
   all.resize(count);
   std::sort(all.begin(), all.end());
   return SelectRows(all);
+}
+
+std::vector<RowId> NumberQiClasses(const Table& table, std::vector<std::uint32_t>* class_of) {
+  const std::size_t n = table.size();
+  const std::size_t d = table.qi_count();
+  std::vector<const Value*> cols(d);
+  for (std::size_t a = 0; a < d; ++a) cols[a] = table.column(static_cast<AttrId>(a)).data();
+  auto same_qi = [&](RowId x, RowId y) {
+    for (std::size_t a = 0; a < d; ++a) {
+      if (cols[a][x] != cols[a][y]) return false;
+    }
+    return true;
+  };
+
+  class_of->resize(n);
+  std::vector<RowId> first_rows;
+  FlatMap<std::uint32_t> index;  // signature hash -> class id
+  for (RowId r = 0; r < n; ++r) {
+    std::uint64_t key = kFnvOffsetBasis;
+    for (std::size_t a = 0; a < d; ++a) key = FnvFold(key, cols[a][r]);
+    while (true) {
+      const auto next = static_cast<std::uint32_t>(first_rows.size());
+      auto [slot, inserted] = index.TryEmplace(key, next);
+      if (inserted) first_rows.push_back(r);
+      if (inserted || same_qi(first_rows[*slot], r)) {
+        (*class_of)[r] = *slot;
+        break;
+      }
+      key = MixU64(key);  // another signature holds this hash: probe the next key
+    }
+  }
+  return first_rows;
 }
 
 }  // namespace ldv

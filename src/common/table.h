@@ -154,6 +154,14 @@ class Table {
   bool borrowed_ = false;
 };
 
+/// Numbers the distinct QI signatures of `table` (the SA is left out) in
+/// first-occurrence row order: (*class_of)[r] becomes row r's class id,
+/// and the result holds each class's first row. One pass over the rows;
+/// two signatures that share a hash are told apart by comparing the row
+/// with the class's first row and re-mixing the key, so the classes are
+/// exact for every schema.
+std::vector<RowId> NumberQiClasses(const Table& table, std::vector<std::uint32_t>* class_of);
+
 inline QiRow::QiRow(const Table& table, RowId row) : size_(table.qi_count()) {
   Value* out = inline_.data();
   if (size_ > kInlineAttrs) {

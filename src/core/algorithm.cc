@@ -181,7 +181,7 @@ class AnatomyAnonymizer final : public Anonymizer {
 
   bool RunRaw(const Table& table, std::uint32_t l, Workspace* workspace,
               const TableArtifacts* /*artifacts*/, AnonymizationOutcome* out) const override {
-    (void)workspace;  // Anatomy's random-shuffle bucketization has no hot scratch.
+    (void)workspace;  // Anatomy's deterministic max-heap greedy has no hot scratch.
     AnatomyResult r = AnatomyAnonymize(table, l);
     if (!r.feasible) return false;
     out->partition = std::move(r.partition);

@@ -1,5 +1,7 @@
 #include "engine/report.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 
 #include "anonymity/release.h"
@@ -171,16 +173,31 @@ bool WriteReleaseForOutcome(const Table& table, const AnonymizationOutcome& outc
   const Partition& buckets = outcome.partition;
   auto write_qit = [&](OutputSink& out) {
     AppendCsvHeader(schema, "Bucket", out);
+    // Every row of a QI class renders the same QI cells: render each
+    // class's prefix once into an arena, and each bucket's "<id>\n" once,
+    // then append the two per row in bucket order.
+    std::vector<std::uint32_t> class_of;
+    const std::vector<RowId> first_rows = NumberQiClasses(table, &class_of);
     std::vector<CsvCell> qi_cells;
     for (AttrId a = 0; a < table.qi_count(); ++a) qi_cells.emplace_back(schema.qi(a));
+    std::string arena;
+    std::vector<std::size_t> prefix_end(first_rows.size() + 1, 0);
+    for (std::size_t c = 0; c < first_rows.size(); ++c) {
+      for (AttrId a = 0; a < table.qi_count(); ++a) {
+        arena += qi_cells[a](table.qi(first_rows[c], a));
+        arena += ',';
+      }
+      prefix_end[c + 1] = arena.size();
+    }
     for (GroupId g = 0; g < buckets.group_count(); ++g) {
+      char suffix[12];  // the longest GroupId in decimal, then '\n'
+      char* end = std::to_chars(suffix, suffix + sizeof suffix - 1, g).ptr;
+      *end++ = '\n';
+      const std::string_view bucket_suffix(suffix, static_cast<std::size_t>(end - suffix));
       for (RowId row : buckets.group(g)) {
-        for (AttrId a = 0; a < table.qi_count(); ++a) {
-          out.Append(qi_cells[a](table.qi(row, a)));
-          out.Append(',');
-        }
-        out.AppendUint(g);
-        out.Append('\n');
+        const std::uint32_t c = class_of[row];
+        out.Append(std::string_view(arena).substr(prefix_end[c], prefix_end[c + 1] - prefix_end[c]));
+        out.Append(bucket_suffix);
       }
     }
   };
@@ -189,11 +206,16 @@ bool WriteReleaseForOutcome(const Table& table, const AnonymizationOutcome& outc
     out.Append(CsvEscapeCell(schema.sensitive().name));
     out.Append(",Count\n");
     CsvCell sa_cell(schema.sensitive());
+    // Per bucket, only the SA values it holds, in ascending order.
     std::vector<std::uint32_t> sa_counts(schema.sa_domain_size(), 0);
+    std::vector<SaValue> present;
     for (GroupId g = 0; g < buckets.group_count(); ++g) {
-      for (RowId row : buckets.group(g)) ++sa_counts[table.sa(row)];
-      for (SaValue v = 0; v < sa_counts.size(); ++v) {
-        if (sa_counts[v] == 0) continue;
+      present.clear();
+      for (RowId row : buckets.group(g)) {
+        if (sa_counts[table.sa(row)]++ == 0) present.push_back(table.sa(row));
+      }
+      std::sort(present.begin(), present.end());
+      for (SaValue v : present) {
         out.AppendUint(g);
         out.Append(',');
         out.Append(sa_cell(v));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/check.h"
@@ -28,19 +29,12 @@ class PointPacker {
     Grow(&stride, schema.sa_domain_size());
   }
 
-  std::uint64_t Pack(std::span<const Value> qi, SaValue sa) const {
-    std::uint64_t key = static_cast<std::uint64_t>(sa) * sa_stride_;
-    for (std::size_t a = 0; a < qi.size(); ++a) key += strides_[a] * qi[a];
-    return key;
-  }
-
   /// Packed ids of every row, accumulated column by column (one pass per
-  /// QI attribute over its contiguous column, then the SA column when
-  /// `include_sa`) -- the columnar replacement for packing row views. A
-  /// pure per-row map: fixed row chunks fan out across threads and the
-  /// integer accumulation is identical at any thread count.
-  std::vector<std::uint64_t> PackAllRows(const Table& table, bool include_sa,
-                                         Workspace& ws) const {
+  /// QI attribute over its contiguous column, then the SA column) -- the
+  /// columnar replacement for packing row views. A pure per-row map: fixed
+  /// row chunks fan out across threads and the integer accumulation is
+  /// identical at any thread count.
+  std::vector<std::uint64_t> PackAllRows(const Table& table, Workspace& ws) const {
     const std::size_t n = table.size();
     std::vector<std::uint64_t> keys(n, 0);
     std::uint64_t* out = keys.data();
@@ -49,7 +43,7 @@ class PointPacker {
         StrideAccumulate(out, table.column(static_cast<AttrId>(a)).data(), strides_[a], begin,
                          end);
       }
-      if (include_sa) StrideAccumulate(out, table.sa_column().data(), sa_stride_, begin, end);
+      StrideAccumulate(out, table.sa_column().data(), sa_stride_, begin, end);
     });
     return keys;
   }
@@ -87,7 +81,7 @@ struct PointCount {
 // vector.
 std::vector<PointCount> DistinctPoints(const Table& table, const PointPacker& packer,
                                        Workspace& ws) {
-  std::vector<std::uint64_t> keys = packer.PackAllRows(table, /*include_sa=*/true, ws);
+  std::vector<std::uint64_t> keys = packer.PackAllRows(table, ws);
   std::vector<PointCount> points;
   points.reserve(table.size());
   FlatMap<std::uint32_t> index(table.size());
@@ -347,59 +341,96 @@ double KlDivergenceMultiDim(const Table& table, const BoxGeneralization& gen) {
 
 double KlDivergenceAnatomy(const Table& table, const Partition& buckets) {
   if (table.empty()) return 0.0;
-  const double n = static_cast<double>(table.size());
+  const std::size_t n = table.size();
   const std::size_t m = table.schema().sa_domain_size();
 
-  // Per-bucket SA frequency vectors (count / bucket size).
-  std::vector<std::vector<double>> frequency(buckets.group_count());
-  std::vector<std::uint32_t> bucket_of(table.size());
-  for (GroupId g = 0; g < buckets.group_count(); ++g) {
-    frequency[g].assign(m, 0.0);
-    for (RowId r : buckets.group(g)) {
-      frequency[g][table.sa(r)] += 1.0 / static_cast<double>(buckets.group(g).size());
-      bucket_of[r] = g;
+  // Each bucket's SA frequencies (count / bucket size) in CSR form: the
+  // bucket's distinct SA values with one frequency each, built by the same
+  // repeated 1/|bucket| additions a dense buckets x m table would make.
+  // A bucket holds at most |bucket| entries, so the CSR is O(n).
+  constexpr std::uint32_t kNoEntry = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> bucket_of(n);
+  std::vector<std::uint32_t> entry_offsets(buckets.group_count() + 1, 0);
+  std::vector<SaValue> entry_sa;
+  std::vector<double> entry_frequency;
+  entry_sa.reserve(n);
+  entry_frequency.reserve(n);
+  {
+    std::vector<std::uint32_t> entry_of(m, kNoEntry);  // SA -> entry of the current bucket
+    for (GroupId g = 0; g < buckets.group_count(); ++g) {
+      const double share = 1.0 / static_cast<double>(buckets.group(g).size());
+      for (RowId r : buckets.group(g)) {
+        const SaValue v = table.sa(r);
+        if (entry_of[v] == kNoEntry) {
+          entry_of[v] = static_cast<std::uint32_t>(entry_sa.size());
+          entry_sa.push_back(v);
+          entry_frequency.push_back(0.0);
+        }
+        entry_frequency[entry_of[v]] += share;
+        bucket_of[r] = g;
+      }
+      entry_offsets[g + 1] = static_cast<std::uint32_t>(entry_sa.size());
+      for (std::uint32_t e = entry_offsets[g]; e < entry_offsets[g + 1]; ++e) {
+        entry_of[entry_sa[e]] = kNoEntry;
+      }
     }
   }
 
-  // Rows grouped by exact QI signature (SA excluded), in CSR form: a
-  // FlatMap assigns every signature a class id, then a count/fill pass
-  // lays the rows out contiguously (ascending row id within a class,
-  // matching the seed's push_back order).
-  Workspace ws;
-  PointPacker packer(table.schema());
-  std::vector<std::uint32_t> class_of(table.size());
-  std::uint32_t class_count = 0;
+  // Rows grouped by exact QI signature (SA excluded), in CSR form:
+  // ascending row id within a class.
+  std::vector<std::uint32_t> class_offsets;
+  std::vector<RowId> class_rows(n);
   {
-    // QI-only keys (no SA term), packed in one column-major sweep.
-    std::vector<std::uint64_t> qi_keys = packer.PackAllRows(table, /*include_sa=*/false, ws);
-    FlatMap<std::uint32_t> classes(table.size());
-    for (RowId r = 0; r < table.size(); ++r) {
-      auto [slot, inserted] = classes.TryEmplace(qi_keys[r], class_count);
-      class_of[r] = *slot;
-      if (inserted) ++class_count;
-    }
-  }
-  std::vector<std::uint32_t> class_offsets(class_count + 1, 0);
-  for (RowId r = 0; r < table.size(); ++r) ++class_offsets[class_of[r] + 1];
-  for (std::uint32_t c = 0; c < class_count; ++c) class_offsets[c + 1] += class_offsets[c];
-  std::vector<RowId> class_rows(table.size());
-  {
+    std::vector<std::uint32_t> class_of;
+    const std::size_t class_count = NumberQiClasses(table, &class_of).size();
+    class_offsets.assign(class_count + 1, 0);
+    for (RowId r = 0; r < n; ++r) ++class_offsets[class_of[r] + 1];
+    for (std::size_t c = 0; c < class_count; ++c) class_offsets[c + 1] += class_offsets[c];
     std::vector<std::uint32_t> cursor(class_offsets.begin(), class_offsets.end() - 1);
-    for (RowId r = 0; r < table.size(); ++r) class_rows[cursor[class_of[r]]++] = r;
+    for (RowId r = 0; r < n; ++r) class_rows[cursor[class_of[r]]++] = r;
   }
 
-  double kl = 0.0;
-  for (const PointCount& pc : DistinctPoints(table, packer, ws)) {
-    SaValue sa = table.sa(pc.representative);
-    std::uint32_t c = class_of[pc.representative];
-    double fstar_n = 0.0;
+  // Per class: every row adds its bucket's entries into one dense
+  // m-vector, so fstar[v] is n * f*(p) of the class's point p with SA v,
+  // its nonzero addends in ascending row order -- the order of a per-point
+  // sum over the class's rows, so the doubles are bit-identical. The
+  // distinct points are the class's (class, SA) pairs; each term lands at
+  // its point's first row, and the final fold in row order adds the terms
+  // in first-occurrence order (the zeros between them change no bit).
+  const double dn = static_cast<double>(n);
+  std::vector<double> term(n, 0.0);
+  std::vector<double> fstar(m, 0.0);
+  std::vector<std::uint32_t> count(m, 0);  // rows of the class per SA value
+  std::vector<RowId> first_row(m);
+  std::vector<SaValue> touched;  // fstar entries to reset
+  std::vector<SaValue> point_sa;
+  for (std::size_t c = 0; c + 1 < class_offsets.size(); ++c) {
     for (std::uint32_t i = class_offsets[c]; i < class_offsets[c + 1]; ++i) {
-      fstar_n += frequency[bucket_of[class_rows[i]]][sa];
+      const RowId r = class_rows[i];
+      const std::uint32_t g = bucket_of[r];
+      for (std::uint32_t e = entry_offsets[g]; e < entry_offsets[g + 1]; ++e) {
+        const SaValue v = entry_sa[e];
+        if (fstar[v] == 0.0) touched.push_back(v);
+        fstar[v] += entry_frequency[e];
+      }
+      const SaValue v = table.sa(r);
+      if (count[v]++ == 0) {
+        first_row[v] = r;
+        point_sa.push_back(v);
+      }
     }
-    LDIV_CHECK_GT(fstar_n, 0.0);
-    double f = static_cast<double>(pc.count) / n;
-    kl += f * std::log(static_cast<double>(pc.count) / fstar_n);
+    for (SaValue v : point_sa) {
+      LDIV_CHECK_GT(fstar[v], 0.0);
+      const double f = static_cast<double>(count[v]) / dn;
+      term[first_row[v]] = f * std::log(static_cast<double>(count[v]) / fstar[v]);
+      count[v] = 0;
+    }
+    for (SaValue v : touched) fstar[v] = 0.0;
+    point_sa.clear();
+    touched.clear();
   }
+  double kl = 0.0;
+  for (double t : term) kl += t;
   return kl;
 }
 

@@ -38,6 +38,13 @@ double KlDivergenceMultiDim(const Table& table, const BoxGeneralization& gen);
 /// linked only through l-diverse buckets): the adversary's density at point
 /// p is (1/n) * sum over tuples t with QI(t) = QI(p) of
 /// count_{bucket(t)}(SA(p)) / |bucket(t)|.
+///
+/// Each bucket keeps only the SA values it holds, and each QI class adds
+/// its rows' bucket entries into one dense m-vector: O(n * b) time for
+/// buckets of at most b distinct SA values, so O(n * l) for Anatomy's
+/// (l values, plus at most one residue tuple per residue value: b < 2l),
+/// and O(n + m) memory -- under 32 MB of scratch at 1M rows (m = 50,
+/// l = 4), where a dense buckets x m table took 100 MB.
 double KlDivergenceAnatomy(const Table& table, const Partition& buckets);
 
 }  // namespace ldv

@@ -159,6 +159,27 @@ TEST(Table, FromColumnsBuildsColumnarStorageDirectly) {
   EXPECT_EQ(table.sa(1), 1u);
 }
 
+TEST(Table, NumberQiClassesIgnoresSaAndKeepsFirstOccurrenceOrder) {
+  Table table = testutil::PaperTable1();
+  std::vector<std::uint32_t> class_of;
+  std::vector<RowId> first_rows = NumberQiClasses(table, &class_of);
+  // Signatures (Age, Gender, Education): rows 0-1, 2, 3, 4-7, 8-9.
+  EXPECT_EQ(first_rows, (std::vector<RowId>{0, 2, 3, 4, 8}));
+  EXPECT_EQ(class_of, (std::vector<std::uint32_t>{0, 0, 1, 2, 3, 3, 3, 3, 4, 4}));
+}
+
+TEST(Table, NumberQiClassesSeparatesSignaturesWithOneHash) {
+  // (1, 486, 0) and (2, 384, 516905) have the same 64-bit FNV-1a signature
+  // hash; they must still be two classes.
+  Schema schema = testutil::MakeSchema({3, 487, 516906}, 2);
+  Table table = Table::FromColumns(schema, {{1, 2, 1, 2}, {486, 384, 486, 384}, {0, 516905, 0, 516905}},
+                                   {0, 1, 1, 0});
+  std::vector<std::uint32_t> class_of;
+  std::vector<RowId> first_rows = NumberQiClasses(table, &class_of);
+  EXPECT_EQ(first_rows, (std::vector<RowId>{0, 1}));
+  EXPECT_EQ(class_of, (std::vector<std::uint32_t>{0, 1, 0, 1}));
+}
+
 TEST(TableDeathTest, FromColumnsRejectsRaggedOrOutOfDomainColumns) {
   Schema schema = testutil::MakeSchema({3, 2}, 2);
   std::vector<SaValue> sa = {0, 1};

@@ -1,5 +1,5 @@
-// KL-divergence (Equation 2) tests for suppression and single-dimensional
-// generalizations.
+// KL-divergence (Equation 2) tests for suppression, single-dimensional
+// and bucketization releases.
 
 #include "metrics/kl_divergence.h"
 
@@ -123,6 +123,32 @@ TEST(KlSingleDim, TdsDivergenceGrowsWithL) {
   ASSERT_TRUE(l6.feasible);
   EXPECT_LE(KlDivergenceSingleDim(table, *l2.generalization),
             KlDivergenceSingleDim(table, *l6.generalization) + 1e-9);
+}
+
+TEST(KlAnatomy, DependsOnlyOnWhichValuesAreEqual) {
+  // The bucketization estimator compares QI values for equality and never
+  // packs them, so a schema whose point ids would not fit in 64 bits
+  // (three domains of 2^31, SA domain 4) gives the KL of the same table
+  // relabelled into small domains.
+  const Value big = Value{1} << 30;
+  Schema wide_schema = testutil::MakeSchema({std::size_t{1} << 31, std::size_t{1} << 31,
+                                             std::size_t{1} << 31}, 4);
+  Table wide = testutil::MakeTable(wide_schema, {{big, 7, big + 5, 0},
+                                                 {big, 7, big + 5, 1},
+                                                 {3, big, 9, 2},
+                                                 {big, 7, big + 5, 3},
+                                                 {3, big, 9, 0},
+                                                 {3, big, 9, 1}});
+  Table small = testutil::MakeTable(testutil::MakeSchema({2, 2, 2}, 4), {{1, 0, 1, 0},
+                                                                          {1, 0, 1, 1},
+                                                                          {0, 1, 0, 2},
+                                                                          {1, 0, 1, 3},
+                                                                          {0, 1, 0, 0},
+                                                                          {0, 1, 0, 1}});
+  Partition buckets({{0, 2, 4}, {1, 3, 5}});
+  const double kl = KlDivergenceAnatomy(small, buckets);
+  EXPECT_GT(kl, 0.0);
+  EXPECT_EQ(KlDivergenceAnatomy(wide, buckets), kl);
 }
 
 TEST(KlDivergence, NonNegativity) {

@@ -280,6 +280,58 @@ double ReferenceKlMultiDim(const Table& table, const BoxGeneralization& gen) {
   return kl;
 }
 
+// The dense bucketization estimator the sparse one replaced: a buckets x m
+// frequency table, and per distinct (QI, SA) point -- in first-occurrence
+// row order -- a sum over every row of the point's QI class.
+double ReferenceKlAnatomy(const Table& table, const Partition& buckets) {
+  if (table.empty()) return 0.0;
+  const double n = static_cast<double>(table.size());
+  const std::size_t m = table.schema().sa_domain_size();
+
+  std::vector<std::vector<double>> frequency(buckets.group_count());
+  std::vector<std::uint32_t> bucket_of(table.size());
+  for (GroupId g = 0; g < buckets.group_count(); ++g) {
+    frequency[g].assign(m, 0.0);
+    for (RowId r : buckets.group(g)) {
+      frequency[g][table.sa(r)] += 1.0 / static_cast<double>(buckets.group(g).size());
+      bucket_of[r] = g;
+    }
+  }
+
+  ReferencePointPacker packer(table.schema());
+  std::unordered_map<std::uint64_t, std::uint32_t> classes;
+  std::vector<std::uint32_t> class_of(table.size());
+  std::vector<std::vector<RowId>> class_rows;
+  for (RowId r = 0; r < table.size(); ++r) {
+    auto [it, inserted] = classes.try_emplace(packer.Pack(table.qi_row(r), 0),
+                                              static_cast<std::uint32_t>(class_rows.size()));
+    if (inserted) class_rows.emplace_back();
+    class_of[r] = it->second;
+    class_rows[it->second].push_back(r);
+  }
+
+  std::unordered_map<std::uint64_t, std::size_t> point_index;
+  std::vector<ReferencePointCount> points;
+  for (RowId r = 0; r < table.size(); ++r) {
+    auto [it, inserted] =
+        point_index.try_emplace(packer.Pack(table.qi_row(r), table.sa(r)), points.size());
+    if (inserted) points.push_back(ReferencePointCount{r, 0});
+    ++points[it->second].count;
+  }
+
+  double kl = 0.0;
+  for (const ReferencePointCount& pc : points) {
+    SaValue sa = table.sa(pc.representative);
+    double fstar_n = 0.0;
+    for (RowId r : class_rows[class_of[pc.representative]]) {
+      fstar_n += frequency[bucket_of[r]][sa];
+    }
+    double f = static_cast<double>(pc.count) / n;
+    kl += f * std::log(static_cast<double>(pc.count) / fstar_n);
+  }
+  return kl;
+}
+
 // ---------------------------------------------------------------------------
 // Equivalence tests
 // ---------------------------------------------------------------------------
@@ -365,6 +417,67 @@ TEST(KlEquivalence, MultiDimMatchesSeedOnMondrianBoxes) {
     double actual = KlDivergenceMultiDim(table, mondrian.generalization);
     EXPECT_NEAR(actual, expected, 1e-9) << "trial " << trial;
   }
+}
+
+// Partitions Anatomy never produces: rows in a seeded shuffle, cut into
+// buckets whose sizes cycle through `sizes`. Buckets repeat SA values, and
+// 1/size is inexact for sizes 3, 5 and 7, so repeated additions round.
+Partition ShuffledBuckets(const Table& table, std::vector<std::size_t> sizes, Rng& rng) {
+  std::vector<RowId> rows(table.size());
+  for (RowId r = 0; r < table.size(); ++r) rows[r] = r;
+  rng.Shuffle(rows);
+  Partition partition;
+  std::size_t next = 0;
+  for (std::size_t b = 0; next < rows.size(); ++b) {
+    std::size_t size = std::min(sizes[b % sizes.size()], rows.size() - next);
+    partition.AddGroup(std::vector<RowId>(rows.begin() + next, rows.begin() + next + size));
+    next += size;
+  }
+  return partition;
+}
+
+TEST(KlEquivalence, AnatomyIsBitIdenticalToTheDenseEstimator) {
+  Rng rng(4057);
+  struct Shape {
+    std::size_t n;
+    std::vector<std::size_t> qi_domains;
+    std::size_t m;
+    std::vector<std::size_t> sizes;
+  };
+  const Shape shapes[] = {
+      {700, {8, 6, 4}, 5, {3, 5, 7}},  // inexact 1/size, repeated SA values
+      {900, {3, 2}, 9, {7}},           // few QI classes, each spread over many buckets
+      {400, {1, 1}, 6, {3, 5}},        // one QI class holds the whole table
+      {500, {16, 9}, 2, {3, 5, 7}},    // m = 2
+      {256, {4, 4, 4}, 7, {256}},      // one bucket holds the whole table
+  };
+  for (const Shape& shape : shapes) {
+    for (int trial = 0; trial < 3; ++trial) {
+      Table table = testutil::RandomEligibleTable(rng, shape.n, shape.qi_domains, shape.m, 2);
+      Partition buckets = ShuffledBuckets(table, shape.sizes, rng);
+      ASSERT_TRUE(buckets.CoversExactly(table));
+      const double expected = ReferenceKlAnatomy(table, buckets);
+      EXPECT_EQ(KlDivergenceAnatomy(table, buckets), expected)
+          << "n=" << shape.n << " m=" << shape.m << " trial " << trial;
+      EXPECT_EQ(KlDivergenceAnatomy(table, Partition::SingleGroup(table)),
+                ReferenceKlAnatomy(table, Partition::SingleGroup(table)));
+    }
+  }
+}
+
+TEST(KlEquivalence, AnatomyIsBitIdenticalOnAnatomyBucketsAndTheEmptyTable) {
+  Table sal = GenerateSal(4000, 3);
+  Table t = sal.ProjectQi({kAge, kGender, kRace, kEducation});
+  for (std::uint32_t l : {2u, 4u, 6u}) {
+    AnonymizationOutcome outcome = Anonymize(t, l, Algorithm::kAnatomy);
+    ASSERT_TRUE(outcome.feasible);
+    EXPECT_EQ(KlDivergenceAnatomy(t, outcome.partition),
+              ReferenceKlAnatomy(t, outcome.partition))
+        << "l=" << l;
+  }
+  Table empty(testutil::MakeSchema({4, 3}, 5));
+  EXPECT_EQ(KlDivergenceAnatomy(empty, Partition()), 0.0);
+  EXPECT_EQ(ReferenceKlAnatomy(empty, Partition()), 0.0);
 }
 
 TEST(WorkspaceEquivalence, ReusedWorkspaceGivesIdenticalOutcomes) {
