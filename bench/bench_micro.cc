@@ -3,10 +3,10 @@
 // scanning multiset, grouped (multiset) processing vs the raw table, and
 // the greedy vs window-DP Hilbert splitters.
 //
-// The perf-regression rows (grouping / tp_solve / mondrian / kl_* at
-// n in {10k, 100k}) are additionally exported as BENCH_micro.json (or
-// $LDIV_BENCH_JSON) so every PR leaves a ns/op trajectory datapoint; see
-// the README's Performance section.
+// The perf-regression rows (grouping / tp_solve / tds_solve / mondrian /
+// kl_* at n in {10k, 100k}) are additionally exported as BENCH_micro.json
+// (or $LDIV_BENCH_JSON) so every PR leaves a ns/op trajectory datapoint;
+// see the README's Performance section.
 
 #include <benchmark/benchmark.h>
 
@@ -40,6 +40,7 @@
 #include "hilbert/hilbert_partitioner.h"
 #include "metrics/kl_divergence.h"
 #include "mondrian/mondrian.h"
+#include "tds/tds.h"
 
 namespace ldv {
 namespace {
@@ -219,12 +220,25 @@ void BM_Mondrian(benchmark::State& state) {
 }
 BENCHMARK(BM_Mondrian)->Name("mondrian")->Arg(10000)->Arg(100000);
 
+void BM_TdsSolve(benchmark::State& state) {
+  const Table& t = SizedSal4(static_cast<std::size_t>(state.range(0)));
+  GroupedTable grouped(t);
+  for (auto _ : state) {
+    TdsResult result = RunTds(t, 6, &grouped);
+    benchmark::DoNotOptimize(result.partition.group_count());
+  }
+  state.SetItemsProcessed(state.iterations() * t.size());
+}
+BENCHMARK(BM_TdsSolve)->Name("tds_solve")->Arg(10000)->Arg(100000);
+
+// The point-based KL series take their GroupedTable built outside the
+// timed loop, as tp_solve does: the engine resolves it once per table.
 void BM_KlSuppression(benchmark::State& state) {
   const Table& t = SizedSal4(static_cast<std::size_t>(state.range(0)));
-  TpResult tp = RunTp(t, 6);
-  GeneralizedTable generalized(t, tp.ToPartition());
+  GroupedTable grouped(t);
+  GeneralizedTable generalized(t, RunTp(grouped, 6).ToPartition());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(KlDivergenceSuppression(t, generalized));
+    benchmark::DoNotOptimize(KlDivergenceSuppression(t, generalized, &grouped));
   }
   state.SetItemsProcessed(state.iterations() * t.size());
 }
@@ -232,13 +246,25 @@ BENCHMARK(BM_KlSuppression)->Name("kl_suppression")->Arg(10000)->Arg(100000);
 
 void BM_KlMultiDim(benchmark::State& state) {
   const Table& t = SizedSal4(static_cast<std::size_t>(state.range(0)));
+  GroupedTable grouped(t);
   MondrianResult mondrian = MondrianAnonymize(t, 6);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(KlDivergenceMultiDim(t, mondrian.generalization));
+    benchmark::DoNotOptimize(KlDivergenceMultiDim(t, mondrian.generalization, &grouped));
   }
   state.SetItemsProcessed(state.iterations() * t.size());
 }
 BENCHMARK(BM_KlMultiDim)->Name("kl_multidim")->Arg(10000)->Arg(100000);
+
+void BM_KlSingleDim(benchmark::State& state) {
+  const Table& t = SizedSal4(static_cast<std::size_t>(state.range(0)));
+  GroupedTable grouped(t);
+  TdsResult tds = RunTds(t, 6, &grouped);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(KlDivergenceSingleDim(t, *tds.generalization, &grouped));
+  }
+  state.SetItemsProcessed(state.iterations() * t.size());
+}
+BENCHMARK(BM_KlSingleDim)->Name("kl_singledim")->Arg(10000)->Arg(100000);
 
 void BM_KlAnatomy(benchmark::State& state) {
   const Table& t = SizedSal4(static_cast<std::size_t>(state.range(0)));
@@ -257,7 +283,7 @@ BENCHMARK(BM_KlAnatomy)->Name("kl_anatomy")->Arg(10000)->Arg(100000);
 // The same grouping / KL workloads over the full-width (all seven QI
 // attributes) SAL tables, where the column-at-a-time scans of the
 // columnar Table matter most: signature hashing folds seven contiguous
-// columns and point packing accumulates seven stride multiplies per row.
+// columns, and the KL stabs boxes over seven attributes per point.
 // Tracked as their own BENCH_micro.json series so the scan-layout win
 // (vs the row-major trajectory recorded before the columnar refactor)
 // stays visible PR over PR.
@@ -281,9 +307,10 @@ BENCHMARK(BM_GroupingColumnar)->Name("grouping_columnar")->Arg(10000)->Arg(10000
 
 void BM_KlMultiDimColumnar(benchmark::State& state) {
   const Table& t = SizedSal7(static_cast<std::size_t>(state.range(0)));
+  GroupedTable grouped(t);
   MondrianResult mondrian = MondrianAnonymize(t, 6);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(KlDivergenceMultiDim(t, mondrian.generalization));
+    benchmark::DoNotOptimize(KlDivergenceMultiDim(t, mondrian.generalization, &grouped));
   }
   state.SetItemsProcessed(state.iterations() * t.size());
 }
@@ -514,9 +541,11 @@ void RegisterBenchFields() {
     };
     fields[series("grouping")] = {n, 4, 1, ActiveSimd()};
     fields[series("tp_solve")] = {n, 4, 1};
+    fields[series("tds_solve")] = {n, 4, 1};
     fields[series("mondrian")] = {n, 4, 1, ActiveSimd()};
     fields[series("kl_suppression")] = {n, 4, 1, ActiveSimd()};
     fields[series("kl_multidim")] = {n, 4, 1, ActiveSimd()};
+    fields[series("kl_singledim")] = {n, 4, 1};
     fields[series("kl_anatomy")] = {n, 4, 1};
     fields[series("grouping_columnar")] = {n, 7, 1, ActiveSimd()};
     fields[series("kl_multidim_columnar")] = {n, 7, 1, ActiveSimd()};

@@ -6,6 +6,7 @@
 #include "anonymity/anatomy.h"
 #include "anonymity/eligibility.h"
 #include "common/check.h"
+#include "core/run_spec.h"
 #include "core/tp_plus.h"
 #include "metrics/kl_divergence.h"
 #include "mondrian/mondrian.h"
@@ -47,7 +48,8 @@ const char* MethodologyName(Methodology methodology) {
 }
 
 bool AlgorithmUsesGroupedArtifact(Algorithm algorithm) {
-  return algorithm == Algorithm::kTp || algorithm == Algorithm::kTpPlus;
+  return algorithm == Algorithm::kTp || algorithm == Algorithm::kTpPlus ||
+         algorithm == Algorithm::kTds;
 }
 
 bool AlgorithmUsesHilbertOrderArtifact(Algorithm algorithm) {
@@ -67,6 +69,14 @@ AnonymizationOutcome Anonymizer::Run(const Table& table, std::uint32_t l,
 AnonymizationOutcome Anonymizer::Run(const Table& table, std::uint32_t l, Workspace* workspace,
                                      const TableArtifacts* artifacts) const {
   LDIV_CHECK(workspace != nullptr);
+  TableArtifacts local;  // one grouping for the solve and the KL
+  if ((artifacts == nullptr || artifacts->grouped == nullptr) &&
+      RunUsesGroupedArtifact(RunSpec{.algorithm = id_, .options = options_})) {
+    if (artifacts != nullptr) local = *artifacts;
+    local.grouped = std::make_shared<GroupedTable>(table, workspace);
+    artifacts = &local;
+  }
+  const GroupedTable* grouped = artifacts != nullptr ? artifacts->grouped.get() : nullptr;
   AnonymizationOutcome outcome;
   outcome.algorithm = id_;
   outcome.methodology = methodology_;
@@ -87,13 +97,13 @@ AnonymizationOutcome Anonymizer::Run(const Table& table, std::uint32_t l, Worksp
   if (options_.compute_kl) {
     switch (methodology_) {
       case Methodology::kSuppression:
-        outcome.kl_divergence = KlDivergenceSuppression(table, *outcome.generalized);
+        outcome.kl_divergence = KlDivergenceSuppression(table, *outcome.generalized, grouped);
         break;
       case Methodology::kMultiDimensional:
-        outcome.kl_divergence = KlDivergenceMultiDim(table, *outcome.boxes);
+        outcome.kl_divergence = KlDivergenceMultiDim(table, *outcome.boxes, grouped);
         break;
       case Methodology::kSingleDimensional:
-        outcome.kl_divergence = KlDivergenceSingleDim(table, *outcome.single_dim);
+        outcome.kl_divergence = KlDivergenceSingleDim(table, *outcome.single_dim, grouped);
         break;
       case Methodology::kBucketization:
         outcome.kl_divergence = KlDivergenceAnatomy(table, outcome.partition);
@@ -110,11 +120,9 @@ class TpAnonymizer final : public Anonymizer {
   explicit TpAnonymizer(AnonymizerOptions options)
       : Anonymizer(Algorithm::kTp, Methodology::kSuppression, options) {}
 
-  bool RunRaw(const Table& table, std::uint32_t l, Workspace* workspace,
+  bool RunRaw(const Table& /*table*/, std::uint32_t l, Workspace* /*workspace*/,
               const TableArtifacts* artifacts, AnonymizationOutcome* out) const override {
-    TpResult r = (artifacts != nullptr && artifacts->grouped != nullptr)
-                     ? RunTp(*artifacts->grouped, l)
-                     : RunTp(table, l, workspace);
+    TpResult r = RunTp(*artifacts->grouped, l);
     if (!r.feasible) return false;
     out->partition = r.ToPartition();
     out->seconds = r.seconds;
@@ -130,9 +138,8 @@ class TpPlusAnonymizer final : public Anonymizer {
 
   bool RunRaw(const Table& table, std::uint32_t l, Workspace* workspace,
               const TableArtifacts* artifacts, AnonymizationOutcome* out) const override {
-    const GroupedTable* grouped =
-        artifacts != nullptr ? artifacts->grouped.get() : nullptr;
-    TpPlusResult r = RunTpPlus(table, l, options().hilbert, workspace, grouped);
+    TpPlusResult r =
+        RunTpPlus(table, l, options().hilbert, workspace, artifacts->grouped.get());
     if (!r.feasible) return false;
     out->partition = std::move(r.partition);
     out->seconds = r.seconds();
@@ -195,10 +202,10 @@ class TdsAnonymizer final : public Anonymizer {
   explicit TdsAnonymizer(AnonymizerOptions options)
       : Anonymizer(Algorithm::kTds, Methodology::kSingleDimensional, options) {}
 
-  bool RunRaw(const Table& table, std::uint32_t l, Workspace* workspace,
-              const TableArtifacts* /*artifacts*/, AnonymizationOutcome* out) const override {
-    (void)workspace;  // TDS is dominated by its taxonomy walks, not scratch churn.
-    TdsResult r = RunTds(table, l);
+  bool RunRaw(const Table& table, std::uint32_t l, Workspace* /*workspace*/,
+              const TableArtifacts* artifacts, AnonymizationOutcome* out) const override {
+    // Run built the grouping with the workspace when none was supplied.
+    TdsResult r = RunTds(table, l, artifacts->grouped.get());
     if (!r.feasible) return false;
     out->partition = std::move(r.partition);
     out->single_dim = std::move(r.generalization);

@@ -42,8 +42,8 @@ inline constexpr std::array<Algorithm, kAlgorithmCount> kAllAlgorithms = {
 /// outside it (a corrupted enum is a programmer error, never user input).
 const char* AlgorithmName(Algorithm algorithm);
 
-/// True iff `algorithm` consumes the shared GroupedTable artifact (TP and
-/// TP+ start from the exact-signature grouping).
+/// True iff the solve of `algorithm` consumes the shared GroupedTable
+/// artifact (TP, TP+ and TDS; see also RunUsesGroupedArtifact).
 bool AlgorithmUsesGroupedArtifact(Algorithm algorithm);
 
 /// True iff `algorithm` consumes the shared full-table Hilbert row order
@@ -142,10 +142,10 @@ class Anonymizer {
 
   /// Same, additionally consuming pre-resolved dataset artifacts. When
   /// `artifacts` supplies the GroupedTable or Hilbert order for `table`,
-  /// the solve skips rebuilding it; any field may be null, in which case
-  /// the algorithm derives the input itself. Artifacts MUST have been
-  /// built from exactly this table -- outcomes are byte-identical with and
-  /// without them.
+  /// the run skips rebuilding it; any field may be null, in which case
+  /// the run derives the input itself (one GroupedTable for the solve and
+  /// the KL). Artifacts MUST have been built from exactly this table --
+  /// outcomes are byte-identical with and without them.
   AnonymizationOutcome Run(const Table& table, std::uint32_t l, Workspace* workspace,
                            const TableArtifacts* artifacts) const;
 
@@ -155,7 +155,8 @@ class Anonymizer {
 
   /// The algorithm-specific solve. Fills partition, seconds and the
   /// methodology artifacts; returns false iff infeasible. `workspace` is
-  /// never null; `artifacts` may be (no pre-resolved inputs).
+  /// never null; `artifacts` may be (no pre-resolved inputs), except that
+  /// an algorithm whose solve consumes the GroupedTable always gets it.
   virtual bool RunRaw(const Table& table, std::uint32_t l, Workspace* workspace,
                       const TableArtifacts* artifacts, AnonymizationOutcome* out) const = 0;
 

@@ -17,8 +17,8 @@ namespace ldv {
 /// Shared ownership keeps an artifact alive for concurrent consumers even
 /// while a cache eviction is in flight.
 struct TableArtifacts {
-  /// Exact-signature QI grouping, consumed by TP and TP+. Immutable once
-  /// built; safe to read from any number of threads.
+  /// Exact-signature QI grouping, consumed by TP, TP+, TDS and every KL
+  /// estimator but Anatomy's. Immutable once built; thread-safe to read.
   std::shared_ptr<const GroupedTable> grouped;
   /// Full-table Hilbert row order, consumed by the Hilbert baseline only.
   /// TP+'s residue refinement Hilbert-sorts a SelectRows sub-table whose

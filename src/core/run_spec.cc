@@ -4,6 +4,11 @@
 
 namespace ldv {
 
+bool RunUsesGroupedArtifact(const RunSpec& spec) {
+  return AlgorithmUsesGroupedArtifact(spec.algorithm) ||
+         (spec.options.compute_kl && spec.algorithm != Algorithm::kAnatomy);
+}
+
 std::string RunSpecLabel(const RunSpec& spec) {
   return std::string(AlgorithmName(spec.algorithm)) + "/l=" + std::to_string(spec.l) +
          "/table=" + std::to_string(spec.table_index);

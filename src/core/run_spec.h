@@ -22,6 +22,12 @@ struct RunSpec {
   AnonymizerOptions options;
 };
 
+/// True iff the run reads the table's GroupedTable: its solve consumes it,
+/// or its KL estimator (any but Anatomy's) takes its points from it. The
+/// engine resolves the artifact for these runs; Anonymizer::Run builds one
+/// when none is supplied.
+bool RunUsesGroupedArtifact(const RunSpec& spec);
+
 /// Human-readable job label, e.g. "TP+/l=4/table=0".
 std::string RunSpecLabel(const RunSpec& spec);
 

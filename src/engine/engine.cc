@@ -182,7 +182,7 @@ std::uint64_t Engine::ResolveArtifacts(std::span<const RunSpec> specs, JobResult
   std::vector<char> need_grouped(result->tables.size(), 0);
   std::vector<char> need_order(result->tables.size(), 0);
   for (const RunSpec& spec : specs) {
-    if (AlgorithmUsesGroupedArtifact(spec.algorithm)) need_grouped[spec.table_index] = 1;
+    if (RunUsesGroupedArtifact(spec)) need_grouped[spec.table_index] = 1;
     if (AlgorithmUsesHilbertOrderArtifact(spec.algorithm)) need_order[spec.table_index] = 1;
   }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -14,86 +16,45 @@ namespace ldv {
 
 namespace {
 
-// Mixed-radix packing of a full data point (all QI values plus SA).
-// The products involved fit in 64 bits for every schema in this repository
-// (checked at runtime).
-class PointPacker {
- public:
-  explicit PointPacker(const Schema& schema) {
-    std::uint64_t stride = 1;
-    for (std::size_t a = 0; a < schema.qi_count(); ++a) {
-      strides_.push_back(stride);
-      Grow(&stride, schema.qi(static_cast<AttrId>(a)).domain_size);
-    }
-    sa_stride_ = stride;
-    Grow(&stride, schema.sa_domain_size());
-  }
-
-  /// Packed ids of every row, accumulated column by column (one pass per
-  /// QI attribute over its contiguous column, then the SA column) -- the
-  /// columnar replacement for packing row views. A pure per-row map: fixed
-  /// row chunks fan out across threads and the integer accumulation is
-  /// identical at any thread count.
-  std::vector<std::uint64_t> PackAllRows(const Table& table, Workspace& ws) const {
-    const std::size_t n = table.size();
-    std::vector<std::uint64_t> keys(n, 0);
-    std::uint64_t* out = keys.data();
-    ParallelFor(n, 16384, ws, [&](std::size_t begin, std::size_t end, Workspace&) {
-      for (std::size_t a = 0; a < strides_.size(); ++a) {
-        StrideAccumulate(out, table.column(static_cast<AttrId>(a)).data(), strides_[a], begin,
-                         end);
-      }
-      StrideAccumulate(out, table.sa_column().data(), sa_stride_, begin, end);
-    });
-    return keys;
-  }
-
- private:
-  // out[i] += stride * col[i] over [begin, end): one column's mixed-radix
-  // term (the stride is a local so the loop does not reload it through
-  // the possibly-aliasing output pointer).
-  static void StrideAccumulate(std::uint64_t* out, const std::uint32_t* col,
-                               std::uint64_t stride, std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) out[i] += stride * col[i];
-  }
-
-  static void Grow(std::uint64_t* stride, std::uint64_t radix) {
-    LDIV_CHECK_LT(*stride, std::numeric_limits<std::uint64_t>::max() / (radix + 1))
-        << "point id space exceeds 64 bits";
-    *stride *= radix;
-  }
-
-  std::vector<std::uint64_t> strides_;
-  std::uint64_t sa_stride_ = 0;
-};
-
-// One distinct data point: its packed id, a representative row and its
+// One distinct data point (QI vector, SA value) of the table: one SA run of
+// QI group `group` of the GroupedTable, with the run's length as its
 // multiplicity.
-struct PointCount {
-  std::uint64_t key = 0;
-  RowId representative = 0;
+struct DataPoint {
+  GroupId group = 0;
+  SaValue sa = 0;
   std::uint32_t count = 0;
 };
 
-// The distinct data points of `table` in first-occurrence row order
-// (deterministic, unlike the seed's unordered_map bucket order). The
-// FlatMap only resolves duplicates; the sums below iterate the flat
-// vector.
-std::vector<PointCount> DistinctPoints(const Table& table, const PointPacker& packer,
-                                       Workspace& ws) {
-  std::vector<std::uint64_t> keys = packer.PackAllRows(table, ws);
-  std::vector<PointCount> points;
-  points.reserve(table.size());
-  FlatMap<std::uint32_t> index(table.size());
-  for (RowId r = 0; r < table.size(); ++r) {
-    auto [slot, inserted] = index.TryEmplace(keys[r], static_cast<std::uint32_t>(points.size()));
-    if (inserted) {
-      points.push_back(PointCount{keys[r], r, 1});
-    } else {
-      ++points[*slot].count;
+// The distinct data points of `grouped` in first-occurrence row order. The
+// estimators sum their terms in this order, and the recorded KL bits
+// depend on it. A group lists the rows of one SA value in ascending order,
+// so a run's first row is its point's first occurrence; a scatter by that
+// row puts the points in order in O(n + p), without a sort.
+std::vector<DataPoint> FirstOccurrencePoints(const GroupedTable& grouped) {
+  constexpr std::uint32_t kNoPoint = std::numeric_limits<std::uint32_t>::max();
+  std::vector<DataPoint> points;
+  std::vector<std::uint32_t> point_at(grouped.row_count(), kNoPoint);
+  for (GroupId g = 0; g < grouped.group_count(); ++g) {
+    const QiGroup& group = grouped.group(g);
+    for (std::size_t i = 0; i < group.sa_runs.size(); ++i) {
+      const RowId first = group.rows[group.sa_runs[i].second];
+      point_at[first] = static_cast<std::uint32_t>(points.size());
+      points.push_back(DataPoint{g, group.sa_runs[i].first, group.RunLength(i)});
     }
   }
-  return points;
+  std::vector<DataPoint> ordered;
+  ordered.reserve(points.size());
+  for (std::uint32_t p : point_at) {
+    if (p != kNoPoint) ordered.push_back(points[p]);
+  }
+  return ordered;
+}
+
+// *stride *= radix, refusing to wrap: a packed key must stay exact.
+void Grow(std::uint64_t* stride, std::uint64_t radix) {
+  LDIV_CHECK_LT(*stride, std::numeric_limits<std::uint64_t>::max() / (radix + 1))
+      << "mask bucket key space exceeds 64 bits";
+  *stride *= radix;
 }
 
 // Chunk sizes of the parallel per-point accumulation in the estimators
@@ -110,7 +71,8 @@ constexpr std::size_t kKlMultiDimPointGrain = 1024;
 
 }  // namespace
 
-double KlDivergenceSuppression(const Table& table, const GeneralizedTable& generalized) {
+double KlDivergenceSuppression(const Table& table, const GeneralizedTable& generalized,
+                               const GroupedTable* grouped) {
   if (table.empty()) return 0.0;
   const Schema& schema = table.schema();
   const std::size_t d = table.qi_count();
@@ -123,7 +85,6 @@ double KlDivergenceSuppression(const Table& table, const GeneralizedTable& gener
   // Masks live in a small flat vector (first-occurrence order); each
   // bucket's mass lives in a FlatMap keyed by the packed projection.
   struct MaskBucket {
-    std::uint32_t mask = 0;
     std::vector<AttrId> unstarred;
     std::vector<std::uint64_t> strides;  // one per unstarred attr, then SA
     std::uint64_t sa_stride = 0;
@@ -137,15 +98,15 @@ double KlDivergenceSuppression(const Table& table, const GeneralizedTable& gener
         bucket_index.TryEmplace(mask, static_cast<std::uint32_t>(buckets.size()));
     if (inserted) {
       MaskBucket& b = buckets.emplace_back();
-      b.mask = mask;
       std::uint64_t stride = 1;
       for (AttrId a = 0; a < d; ++a) {
         if ((mask >> a) & 1u) continue;  // starred
         b.unstarred.push_back(a);
         b.strides.push_back(stride);
-        stride *= schema.qi(a).domain_size;
+        Grow(&stride, schema.qi(a).domain_size);
       }
       b.sa_stride = stride;
+      Grow(&stride, m);
     }
     return buckets[*slot];
   };
@@ -185,29 +146,21 @@ double KlDivergenceSuppression(const Table& table, const GeneralizedTable& gener
   // fan out in fixed chunks with one partial sum each, folded in chunk
   // order. The p*log(p/q) fold is inline, one running sum per chunk.
   Workspace ws;
-  PointPacker packer(schema);
-  const std::vector<PointCount> points = DistinctPoints(table, packer, ws);
+  std::optional<GroupedTable> local;
+  if (grouped == nullptr) grouped = &local.emplace(table, &ws);
+  const std::vector<DataPoint> points = FirstOccurrencePoints(*grouped);
   return ParallelReduce(
       points.size(), kKlSuppressionPointGrain, ws, 0.0,
       [&](std::size_t begin, std::size_t end, Workspace&) {
         double partial = 0.0;
         for (std::size_t p = begin; p < end; ++p) {
-          const PointCount& pc = points[p];
-          const RowId rep = pc.representative;
-          SaValue sa = table.sa(rep);
+          const DataPoint& pc = points[p];
+          const std::span<const Value> qi = grouped->group(pc.group).qi_values;
           double fstar_n = 0.0;  // n * f*(p)
           for (const MaskBucket& bucket : buckets) {
-            std::uint64_t probe;
-            if (bucket.mask == 0) {
-              // No stars: the bucket's packing coincides with the point
-              // packing (same strides in the same order), so the point id
-              // is the probe.
-              probe = pc.key;
-            } else {
-              probe = static_cast<std::uint64_t>(sa) * bucket.sa_stride;
-              for (std::size_t i = 0; i < bucket.unstarred.size(); ++i) {
-                probe += bucket.strides[i] * table.qi(rep, bucket.unstarred[i]);
-              }
+            std::uint64_t probe = static_cast<std::uint64_t>(pc.sa) * bucket.sa_stride;
+            for (std::size_t i = 0; i < bucket.unstarred.size(); ++i) {
+              probe += bucket.strides[i] * qi[bucket.unstarred[i]];
             }
             const double* mass = bucket.mass.Find(probe);
             if (mass != nullptr) fstar_n += *mass;
@@ -220,7 +173,8 @@ double KlDivergenceSuppression(const Table& table, const GeneralizedTable& gener
       std::plus<double>());
 }
 
-double KlDivergenceMultiDim(const Table& table, const BoxGeneralization& gen) {
+double KlDivergenceMultiDim(const Table& table, const BoxGeneralization& gen,
+                            const GroupedTable* grouped) {
   if (table.empty()) return 0.0;
   const double n = static_cast<double>(table.size());
   const std::size_t m = table.schema().sa_domain_size();
@@ -288,10 +242,6 @@ double KlDivergenceMultiDim(const Table& table, const BoxGeneralization& gen) {
     }
   }
 
-  // Per-attribute column base pointers for the representative-row probes.
-  std::vector<const Value*> cols(d);
-  for (std::size_t a = 0; a < d; ++a) cols[a] = table.column(static_cast<AttrId>(a)).data();
-
   // Widest candidate list, so each chunk sizes its hit buffer once.
   std::uint32_t max_candidates = 0;
   for (std::size_t v = 0; v < attr0_domain; ++v) {
@@ -307,29 +257,25 @@ double KlDivergenceMultiDim(const Table& table, const BoxGeneralization& gen) {
   // the p*log(p/q) fold lands in accumulator k mod 4 and the four fold in
   // index order -- the recorded KL bits depend on this geometry, so keep
   // it (this file builds with -ffp-contract=off for the same reason).
-  PointPacker packer(table.schema());
-  const std::vector<PointCount> points = DistinctPoints(table, packer, ws);
+  std::optional<GroupedTable> local;
+  if (grouped == nullptr) grouped = &local.emplace(table, &ws);
+  const std::vector<DataPoint> points = FirstOccurrencePoints(*grouped);
   return ParallelReduce(
       points.size(), kKlMultiDimPointGrain, ws, 0.0,
       [&](std::size_t begin, std::size_t end, Workspace& cws) {
         auto hits_s = cws.U32();
         std::vector<std::uint32_t>& hits = *hits_s;
         hits.resize(max_candidates);
-        auto point_s = cws.U32();
-        std::vector<std::uint32_t>& point = *point_s;
-        point.resize(d);
         double acc[4] = {0.0, 0.0, 0.0, 0.0};
         for (std::size_t p = begin; p < end; ++p) {
-          const PointCount& pc = points[p];
-          const RowId rep = pc.representative;
-          const Value qi0 = cols[0][rep];
-          SaValue sa = table.sa(rep);
-          for (std::size_t a = 1; a < d; ++a) point[a] = cols[a][rep];
+          const DataPoint& pc = points[p];
+          const Value* qi = grouped->group(pc.group).qi_values.data();
+          const Value qi0 = qi[0];
           const std::size_t hit_count = simd::StabCandidates(
-              candidates.data() + offsets[qi0], offsets[qi0 + 1] - offsets[qi0], point.data(),
+              candidates.data() + offsets[qi0], offsets[qi0 + 1] - offsets[qi0], qi,
               lo_ptr.data(), hi_ptr.data(), d, /*first_only=*/disjoint, hits.data());
           double fstar_n = 0.0;
-          for (std::size_t k = 0; k < hit_count; ++k) fstar_n += mass[hits[k] * m + sa];
+          for (std::size_t k = 0; k < hit_count; ++k) fstar_n += mass[hits[k] * m + pc.sa];
           LDIV_CHECK_GT(fstar_n, 0.0) << "every point lies in its own group's box";
           const double count = static_cast<double>(pc.count);
           acc[(p - begin) & 3] += (count / n) * std::log(count / fstar_n);
@@ -434,42 +380,52 @@ double KlDivergenceAnatomy(const Table& table, const Partition& buckets) {
   return kl;
 }
 
-double KlDivergenceSingleDim(const Table& table, const SingleDimGeneralization& gen) {
+double KlDivergenceSingleDim(const Table& table, const SingleDimGeneralization& gen,
+                             const GroupedTable* grouped) {
   if (table.empty()) return 0.0;
   const double n = static_cast<double>(table.size());
   const std::size_t d = table.qi_count();
+  const std::size_t m = table.schema().sa_domain_size();
+  Workspace ws;
+  std::optional<GroupedTable> local;
+  if (grouped == nullptr) grouped = &local.emplace(table, &ws);
 
-  // Row gather buffer reused across the scans below: PackedCellId /
-  // CellVolume take a row's QI vector, so the columns are gathered into
-  // one scratch vector per probe instead of materializing QiRow views.
-  std::vector<const Value*> cols(d);
-  for (std::size_t a = 0; a < d; ++a) cols[a] = table.column(static_cast<AttrId>(a)).data();
-  std::vector<Value> qi(d);
-  auto gather = [&cols, &qi, d](RowId r) {
-    for (std::size_t a = 0; a < d; ++a) qi[a] = cols[a][r];
+  // Exact cell numbering: every QI group lies in one cell, named by its
+  // node tuple. Groups sorted by that tuple number the cells densely, so
+  // a (cell, SA) key stays below s * m, whatever the taxonomies' sizes.
+  const std::size_t s = grouped->group_count();
+  std::vector<std::int32_t> nodes(s * d);
+  for (GroupId g = 0; g < s; ++g) {
+    for (std::size_t a = 0; a < d; ++a) {
+      nodes[g * d + a] = gen.NodeFor(static_cast<AttrId>(a), grouped->group(g).qi_values[a]);
+    }
+  }
+  auto tuple = [&nodes, d](GroupId g) {
+    return std::span<const std::int32_t>(nodes.data() + g * d, d);
   };
-
-  // Per (cell, SA) counts; cells tile the space so each point probes one.
-  FlatMap<std::uint32_t> cell_sa_counts(table.size());
-  const std::uint64_t m = table.schema().sa_domain_size();
-  for (RowId r = 0; r < table.size(); ++r) {
-    gather(r);
-    std::uint64_t cell = gen.PackedCellId(qi);
-    LDIV_CHECK_LT(cell, std::numeric_limits<std::uint64_t>::max() / m);
-    ++cell_sa_counts[cell * m + table.sa(r)];
+  std::vector<GroupId> by_cell(s);
+  for (GroupId g = 0; g < s; ++g) by_cell[g] = g;
+  std::sort(by_cell.begin(), by_cell.end(), [&](GroupId x, GroupId y) {
+    return std::ranges::lexicographical_compare(tuple(x), tuple(y));
+  });
+  std::vector<std::uint64_t> cell_of(s);
+  std::uint64_t cell = 0;
+  for (std::size_t i = 0; i < s; ++i) {
+    if (i > 0 && !std::ranges::equal(tuple(by_cell[i]), tuple(by_cell[i - 1]))) ++cell;
+    cell_of[by_cell[i]] = cell;
   }
 
-  Workspace ws;
-  PointPacker packer(table.schema());
+  // Per (cell, SA) counts; cells tile the space so each point probes one.
+  const std::vector<DataPoint> points = FirstOccurrencePoints(*grouped);
+  FlatMap<std::uint32_t> cell_sa_counts(points.size());
+  for (const DataPoint& pc : points) cell_sa_counts[cell_of[pc.group] * m + pc.sa] += pc.count;
+
   double kl = 0.0;
-  for (const PointCount& pc : DistinctPoints(table, packer, ws)) {
-    gather(pc.representative);
-    SaValue sa = table.sa(pc.representative);
-    std::uint64_t cell = gen.PackedCellId(qi);
-    double volume = gen.CellVolume(qi);
-    const std::uint32_t* count = cell_sa_counts.Find(cell * m + sa);
+  for (const DataPoint& pc : points) {
+    const std::uint32_t* count = cell_sa_counts.Find(cell_of[pc.group] * m + pc.sa);
     LDIV_CHECK(count != nullptr);
     double cell_count = static_cast<double>(*count);
+    double volume = gen.CellVolume(grouped->group(pc.group).qi_values);
     double fstar_n = cell_count / volume;
     double f = static_cast<double>(pc.count) / n;
     kl += f * std::log(static_cast<double>(pc.count) / fstar_n);

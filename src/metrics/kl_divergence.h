@@ -3,14 +3,19 @@
 
 #include "anonymity/generalization.h"
 #include "anonymity/multidim.h"
+#include "common/grouped_table.h"
 #include "common/table.h"
 #include "tds/tds.h"
 
 namespace ldv {
 
-// The estimators below fan their per-point terms out in fixed chunks and
-// combine the chunk sums in chunk order, so every result is bit-identical
-// at any thread count and SIMD level.
+// The suppression, single- and multi-dimensional estimators sum one term
+// per distinct (QI, SA) point, taken from the table's GroupedTable (one
+// point per QI group and SA run) in first-occurrence row order. Pass the
+// GroupedTable of exactly `table`, or null to have it built; both forms
+// return the same bits. Per-point terms fan out in fixed chunks combined
+// in chunk order, so results are bit-identical at any thread count and
+// SIMD level.
 
 /// KL-divergence KL(f, f*) of Section 6.2 (Equation 2) between the pdf f of
 /// the microdata over the (d+1)-dimensional space Omega and the pdf f*
@@ -18,21 +23,26 @@ namespace ldv {
 /// treated as uniform over the whole attribute domain, a retained value as a
 /// point mass; SA values are never generalized.
 ///
-/// Exact computation in O(n * 2^d): the groups of T* are bucketed by their
-/// star mask (at most 2^d masks), and f*(p) is assembled per distinct data
-/// point by one lookup per mask.
-double KlDivergenceSuppression(const Table& table, const GeneralizedTable& generalized);
+/// Exact computation in O(n + p * 2^d) for p distinct points: the groups
+/// of T* are bucketed by their star mask (at most 2^d masks), and f*(p) is
+/// assembled per distinct data point by one lookup per mask (a mixed-radix
+/// key, checked never to wrap 64 bits).
+double KlDivergenceSuppression(const Table& table, const GeneralizedTable& generalized,
+                               const GroupedTable* grouped = nullptr);
 
 /// KL-divergence for a single-dimensional generalization: each tuple is
 /// uniform over its cell (the product of its published sub-domains). Cells
-/// tile the space, so f*(p) comes from exactly one cell. O(n).
-double KlDivergenceSingleDim(const Table& table, const SingleDimGeneralization& gen);
+/// tile the space, so f*(p) comes from exactly one cell; cells are
+/// numbered exactly by sorting the QI groups by their node tuples.
+double KlDivergenceSingleDim(const Table& table, const SingleDimGeneralization& gen,
+                             const GroupedTable* grouped = nullptr);
 
 /// KL-divergence for a multi-dimensional generalization: each tuple is
 /// uniform over its group's box; boxes may overlap (Section 2), so f*(p)
 /// sums contributions from every box containing p. Candidate boxes per
 /// point are pruned through an inverted index on the first QI attribute.
-double KlDivergenceMultiDim(const Table& table, const BoxGeneralization& gen);
+double KlDivergenceMultiDim(const Table& table, const BoxGeneralization& gen,
+                            const GroupedTable* grouped = nullptr);
 
 /// KL-divergence for an Anatomy release (QI table published exactly, SA
 /// linked only through l-diverse buckets): the adversary's density at point

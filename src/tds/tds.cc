@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <queue>
 #include <unordered_map>
 
@@ -20,15 +21,6 @@ SingleDimGeneralization::SingleDimGeneralization(
     std::vector<Taxonomy> taxonomies, std::vector<std::vector<std::int32_t>> value_to_node)
     : taxonomies_(std::move(taxonomies)), value_to_node_(std::move(value_to_node)) {
   LDIV_CHECK_EQ(taxonomies_.size(), value_to_node_.size());
-  strides_.resize(taxonomies_.size());
-  std::uint64_t stride = 1;
-  for (std::size_t a = 0; a < taxonomies_.size(); ++a) {
-    strides_[a] = stride;
-    std::uint64_t count = taxonomies_[a].node_count();
-    LDIV_CHECK_LT(stride, std::numeric_limits<std::uint64_t>::max() / (count + 1))
-        << "cell id space exceeds 64 bits";
-    stride *= count + 1;
-  }
 }
 
 double SingleDimGeneralization::CellVolume(std::span<const Value> qi) const {
@@ -40,24 +32,18 @@ double SingleDimGeneralization::CellVolume(std::span<const Value> qi) const {
   return volume;
 }
 
-std::uint64_t SingleDimGeneralization::PackedCellId(std::span<const Value> qi) const {
-  LDIV_CHECK_EQ(qi.size(), taxonomies_.size());
-  std::uint64_t id = 0;
-  for (std::size_t a = 0; a < qi.size(); ++a) {
-    id += strides_[a] * static_cast<std::uint64_t>(value_to_node_[a][qi[a]] + 1);
-  }
-  return id;
-}
-
 // ---------------------------------------------------------------------------
 // RunTds
 // ---------------------------------------------------------------------------
 
 namespace {
 
+// One published cell of the current cut. It holds QI points -- groups of
+// the GroupedTable, each one distinct QI vector with its SA runs -- rather
+// than rows: every row of a point shares the point's QI values, so each
+// test and split below is decided once per point.
 struct TdsGroup {
-  std::vector<RowId> rows;
-  SaHistogram histogram;
+  std::vector<GroupId> points;
   std::vector<std::int32_t> node_ids;  // current taxonomy node per attribute
   bool alive = true;
 };
@@ -77,32 +63,30 @@ struct Candidate {
 
 class TdsState {
  public:
-  TdsState(const Table& table, std::uint32_t l) : table_(table), l_(l) {
-    const Schema& schema = table.schema();
-    std::size_t d = schema.qi_count();
-    for (AttrId a = 0; a < d; ++a) {
+  TdsState(const Schema& schema, const GroupedTable& grouped, std::uint32_t l)
+      : grouped_(grouped), l_(l), d_(schema.qi_count()) {
+    for (AttrId a = 0; a < d_; ++a) {
       taxonomies_.emplace_back(schema.qi(a).domain_size);
       value_to_node_.emplace_back(schema.qi(a).domain_size, taxonomies_[a].root());
       value_counts_.emplace_back(schema.qi(a).domain_size, 0);
     }
-    for (RowId r = 0; r < table.size(); ++r) {
-      for (AttrId a = 0; a < d; ++a) ++value_counts_[a][table.qi(r, a)];
+    for (const QiGroup& point : grouped.groups()) {
+      for (AttrId a = 0; a < d_; ++a) value_counts_[a][point.qi_values[a]] += point.size();
     }
-    node_groups_.resize(d);
+    node_groups_.resize(d_);
 
     // Initial state: one group holding everything, every attribute at root.
     TdsGroup root_group;
-    root_group.rows.resize(table.size());
-    for (RowId r = 0; r < table.size(); ++r) root_group.rows[r] = r;
-    root_group.histogram = SaHistogram(std::vector<std::uint32_t>(table.SaHistogramCounts()));
-    root_group.node_ids.assign(d, 0);
-    for (AttrId a = 0; a < d; ++a) {
+    root_group.points.resize(grouped.group_count());
+    for (GroupId p = 0; p < grouped.group_count(); ++p) root_group.points[p] = p;
+    root_group.node_ids.assign(d_, 0);
+    for (AttrId a = 0; a < d_; ++a) {
       root_group.node_ids[a] = taxonomies_[a].root();
       node_groups_[a][taxonomies_[a].root()].push_back(0);
     }
     groups_.push_back(std::move(root_group));
 
-    for (AttrId a = 0; a < d; ++a) PushCandidate(a, taxonomies_[a].root());
+    for (AttrId a = 0; a < d_; ++a) PushCandidate(a, taxonomies_[a].root());
   }
 
   std::uint32_t RunToCompletion() {
@@ -123,14 +107,28 @@ class TdsState {
     return applied;
   }
 
+  // Expands the live groups to rows: one pass labels every row with its
+  // group's rank, one counting pass in ascending row order fills the
+  // groups, so each lists its rows ascending, as a row-level split would.
   TdsResult BuildResult() {
     TdsResult result;
     result.feasible = true;
     result.generalization = std::make_shared<SingleDimGeneralization>(std::move(taxonomies_),
                                                                       std::move(value_to_node_));
+    std::vector<std::vector<RowId>> cells;
+    std::vector<std::uint32_t> cell_of(grouped_.row_count());
     for (const TdsGroup& g : groups_) {
-      if (g.alive) result.partition.AddGroup(g.rows);
+      if (!g.alive) continue;
+      const auto cell = static_cast<std::uint32_t>(cells.size());
+      std::size_t size = 0;
+      for (GroupId p : g.points) {
+        for (RowId r : grouped_.group(p).rows) cell_of[r] = cell;
+        size += grouped_.group(p).size();
+      }
+      cells.emplace_back().reserve(size);
     }
+    for (RowId r = 0; r < cell_of.size(); ++r) cells[cell_of[r]].push_back(r);
+    result.partition = Partition(std::move(cells));
     return result;
   }
 
@@ -164,14 +162,17 @@ class TdsState {
     const TaxonomyNode& node = taxonomies_[a].node(node_id);
     const Value mid = taxonomies_[a].node(node.left).hi;
 
-    // Validation pass (no mutation).
-    SaHistogram left_hist(table_.schema().sa_domain_size());
-    SaHistogram right_hist(table_.schema().sa_domain_size());
+    // Validation pass (no mutation): each point adds its SA runs to the
+    // side its value of `a` falls on.
     for (GroupId g : affected) {
-      left_hist = SaHistogram(table_.schema().sa_domain_size());
-      right_hist = SaHistogram(table_.schema().sa_domain_size());
-      for (RowId r : groups_[g].rows) {
-        (table_.qi(r, a) < mid ? left_hist : right_hist).Add(table_.sa(r));
+      SaHistogram left_hist(grouped_.sa_domain_size());
+      SaHistogram right_hist(grouped_.sa_domain_size());
+      for (GroupId p : groups_[g].points) {
+        const QiGroup& point = grouped_.group(p);
+        SaHistogram& side = point.qi_values[a] < mid ? left_hist : right_hist;
+        for (std::size_t i = 0; i < point.sa_runs.size(); ++i) {
+          side.Add(point.sa_runs[i].first, point.RunLength(i));
+        }
       }
       if (!left_hist.IsEligible(l_) || !right_hist.IsEligible(l_)) return false;
     }
@@ -190,38 +191,39 @@ class TdsState {
 
   void SplitGroup(GroupId g, AttrId a, Value mid, std::int32_t left_node,
                   std::int32_t right_node) {
-    std::vector<RowId> left_rows, right_rows;
-    for (RowId r : groups_[g].rows) {
-      (table_.qi(r, a) < mid ? left_rows : right_rows).push_back(r);
+    std::vector<GroupId> left_points, right_points;
+    for (GroupId p : groups_[g].points) {
+      (grouped_.group(p).qi_values[a] < mid ? left_points : right_points).push_back(p);
     }
-    if (left_rows.empty() || right_rows.empty()) {
+    if (left_points.empty() || right_points.empty()) {
       // The group sits entirely inside one child: only its label refines.
-      std::int32_t child = left_rows.empty() ? right_node : left_node;
+      std::int32_t child = left_points.empty() ? right_node : left_node;
       groups_[g].node_ids[a] = child;
       node_groups_[a][child].push_back(g);
       return;
     }
     groups_[g].alive = false;
-    AddChildGroup(g, a, left_node, std::move(left_rows));
-    AddChildGroup(g, a, right_node, std::move(right_rows));
+    groups_[g].points = {};
+    AddChildGroup(g, a, left_node, std::move(left_points));
+    AddChildGroup(g, a, right_node, std::move(right_points));
   }
 
-  void AddChildGroup(GroupId parent, AttrId a, std::int32_t node_id, std::vector<RowId> rows) {
+  void AddChildGroup(GroupId parent, AttrId a, std::int32_t node_id,
+                     std::vector<GroupId> points) {
     TdsGroup child;
-    child.histogram = SaHistogram(table_.schema().sa_domain_size());
-    for (RowId r : rows) child.histogram.Add(table_.sa(r));
-    child.rows = std::move(rows);
+    child.points = std::move(points);
     child.node_ids = groups_[parent].node_ids;
     child.node_ids[a] = node_id;
     GroupId id = static_cast<GroupId>(groups_.size());
     groups_.push_back(std::move(child));
-    for (AttrId attr = 0; attr < table_.qi_count(); ++attr) {
+    for (AttrId attr = 0; attr < d_; ++attr) {
       node_groups_[attr][groups_[id].node_ids[attr]].push_back(id);
     }
   }
 
-  const Table& table_;
+  const GroupedTable& grouped_;
   std::uint32_t l_;
+  std::size_t d_;
   std::vector<Taxonomy> taxonomies_;
   std::vector<std::vector<std::int32_t>> value_to_node_;
   std::vector<std::vector<std::uint64_t>> value_counts_;
@@ -234,14 +236,16 @@ class TdsState {
 
 }  // namespace
 
-TdsResult RunTds(const Table& table, std::uint32_t l) {
+TdsResult RunTds(const Table& table, std::uint32_t l, const GroupedTable* grouped) {
   TdsResult result;
   if (table.empty() || !IsTableEligible(table, l)) {
     result.feasible = table.empty();
     return result;
   }
+  std::optional<GroupedTable> local;
+  if (grouped == nullptr) grouped = &local.emplace(table);
   auto start = std::chrono::steady_clock::now();
-  TdsState state(table, l);
+  TdsState state(table.schema(), *grouped, l);
   std::uint32_t applied = state.RunToCompletion();
   result = state.BuildResult();
   result.specializations = applied;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "anonymity/partition.h"
+#include "common/grouped_table.h"
 #include "common/table.h"
 #include "tds/taxonomy.h"
 
@@ -36,15 +37,9 @@ class SingleDimGeneralization {
   /// Volume (product of widths) of the cell containing the QI vector.
   double CellVolume(std::span<const Value> qi) const;
 
-  /// Packs the cell signature of a QI vector into one integer (mixed radix
-  /// over per-attribute node ids). Requires the product of node counts to
-  /// fit in 64 bits, which holds for every workload in this repository.
-  std::uint64_t PackedCellId(std::span<const Value> qi) const;
-
  private:
   std::vector<Taxonomy> taxonomies_;
   std::vector<std::vector<std::int32_t>> value_to_node_;
-  std::vector<std::uint64_t> strides_;
 };
 
 /// Result of the TDS run.
@@ -68,8 +63,10 @@ struct TdsResult {
 /// information gain of its tuples, Sum_t log2(width(node)/width(child(t)));
 /// validity is anti-monotone (an invalid specialization can never become
 /// valid after further refinement, by Lemma 1), so rejected candidates are
-/// discarded permanently.
-TdsResult RunTds(const Table& table, std::uint32_t l);
+/// discarded permanently. The loop runs over the distinct QI points of
+/// `grouped` (built here when null), weighted by their SA runs, and expands
+/// to rows once; `seconds` excludes the grouping, as RunTp's does.
+TdsResult RunTds(const Table& table, std::uint32_t l, const GroupedTable* grouped = nullptr);
 
 }  // namespace ldv
 

@@ -8,8 +8,9 @@
 # check that the release and the JSON/CSV metrics reports exist and are
 # well-formed; then repeat over the committed raw string-valued CSV
 # (dictionary ingestion) and require decoded labels plus the dictionary
-# sidecar in the outputs. Then run a 12-job sweep (all algorithms x l in
-# {2,4}) through the batch driver at --threads=1,2,4 and require
+# sidecar in the outputs, and run a raw CSV whose domains multiply past
+# 2^64 through the KL estimators. Then run a 12-job sweep (all algorithms
+# x l in {2,4}) through the batch driver at --threads=1,2,4 and require
 # byte-identical --no-timings reports AND byte-identical per-job releases
 # (deterministic, job-ordered output at any thread budget).
 #
@@ -82,6 +83,26 @@ done
 # --format, and the release decodes to the same labels.
 "$BIN" --algo=mondrian --l=2 --input="$RAW_INPUT" --out="$TMP/raw_auto" 2> /dev/null
 grep -q "flu" "$TMP/raw_auto.csv" || { echo "FAIL: auto-detected raw release"; exit 1; }
+
+echo "== wide raw CSV: exact KL where a packed point id would overflow =="
+# 20k rows of six columns of random labels (up to 100k distinct each) and
+# ten SA labels: the QI domains multiply far past 2^64, so an estimator
+# that packed a whole data point (or a TDS cell) into one integer would
+# have to give up. Every run must exit 0 with a finite KL in its report.
+awk 'BEGIN { srand(7); print "A,B,C,D,E,F,S"
+  for (i = 0; i < 20000; i++) {
+    line = ""
+    for (c = 0; c < 6; c++) line = line "v" int(rand() * 100000) ","
+    print line "s" int(rand() * 10)
+  } }' > "$TMP/wide.csv"
+for algo in tp hilbert mondrian tds; do
+  "$BIN" --algo="$algo" --l=2 --input="$TMP/wide.csv" --format=raw \
+    --out="$TMP/wide_$algo" > /dev/null 2>&1 || { echo "FAIL: wide $algo exited $?"; exit 1; }
+  check_json "$TMP/wide_$algo.json" 1
+  grep -Eq '"kl_divergence": [0-9]+(\.[0-9]+)?(e[-+]?[0-9]+)?,$' "$TMP/wide_$algo.json" ||
+    { echo "FAIL: wide $algo reported no finite KL"; exit 1; }
+  echo "ok: wide $algo"
+done
 
 echo "== usage errors exit with the documented codes, never an abort =="
 expect_exit() {

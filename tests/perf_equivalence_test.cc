@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <queue>
 #include <unordered_map>
 #include <vector>
 
@@ -28,6 +29,7 @@
 #include "hilbert/hilbert_partitioner.h"
 #include "metrics/kl_divergence.h"
 #include "mondrian/mondrian.h"
+#include "tds/tds.h"
 #include "test_util.h"
 
 namespace ldv {
@@ -333,6 +335,201 @@ double ReferenceKlAnatomy(const Table& table, const Partition& buckets) {
 }
 
 // ---------------------------------------------------------------------------
+// Reference TDS: the row-level specialization loop the point-level one
+// replaced (every group holds its rows; validation and splits scan them).
+// ---------------------------------------------------------------------------
+
+struct ReferenceTdsGroup {
+  std::vector<RowId> rows;
+  SaHistogram histogram;
+  std::vector<std::int32_t> node_ids;  // current taxonomy node per attribute
+  bool alive = true;
+};
+
+struct ReferenceTdsCandidate {
+  double score = 0.0;
+  AttrId attr = 0;
+  std::int32_t node = -1;
+
+  bool operator<(const ReferenceTdsCandidate& other) const {
+    // max-heap by score; deterministic tie-break on (attr, node)
+    if (score != other.score) return score < other.score;
+    if (attr != other.attr) return attr > other.attr;
+    return node > other.node;
+  }
+};
+
+class ReferenceTdsState {
+ public:
+  ReferenceTdsState(const Table& table, std::uint32_t l) : table_(table), l_(l) {
+    const Schema& schema = table.schema();
+    std::size_t d = schema.qi_count();
+    for (AttrId a = 0; a < d; ++a) {
+      taxonomies_.emplace_back(schema.qi(a).domain_size);
+      value_to_node_.emplace_back(schema.qi(a).domain_size, taxonomies_[a].root());
+      value_counts_.emplace_back(schema.qi(a).domain_size, 0);
+    }
+    for (RowId r = 0; r < table.size(); ++r) {
+      for (AttrId a = 0; a < d; ++a) ++value_counts_[a][table.qi(r, a)];
+    }
+    node_groups_.resize(d);
+
+    // Initial state: one group holding everything, every attribute at root.
+    ReferenceTdsGroup root_group;
+    root_group.rows.resize(table.size());
+    for (RowId r = 0; r < table.size(); ++r) root_group.rows[r] = r;
+    root_group.histogram = SaHistogram(std::vector<std::uint32_t>(table.SaHistogramCounts()));
+    root_group.node_ids.assign(d, 0);
+    for (AttrId a = 0; a < d; ++a) {
+      root_group.node_ids[a] = taxonomies_[a].root();
+      node_groups_[a][taxonomies_[a].root()].push_back(0);
+    }
+    groups_.push_back(std::move(root_group));
+
+    for (AttrId a = 0; a < d; ++a) PushCandidate(a, taxonomies_[a].root());
+  }
+
+  std::uint32_t RunToCompletion() {
+    std::uint32_t applied = 0;
+    while (!candidates_.empty()) {
+      ReferenceTdsCandidate c = candidates_.top();
+      candidates_.pop();
+      if (TrySpecialize(c.attr, c.node)) {
+        ++applied;
+        const TaxonomyNode& node = taxonomies_[c.attr].node(c.node);
+        PushCandidate(c.attr, node.left);
+        PushCandidate(c.attr, node.right);
+      }
+      // Invalid candidates are discarded permanently: by Lemma 1 an
+      // ineligible refinement piece stays ineligible under any further
+      // refinement.
+    }
+    return applied;
+  }
+
+  TdsResult BuildResult() {
+    TdsResult result;
+    result.feasible = true;
+    result.generalization = std::make_shared<SingleDimGeneralization>(std::move(taxonomies_),
+                                                                      std::move(value_to_node_));
+    for (const ReferenceTdsGroup& g : groups_) {
+      if (g.alive) result.partition.AddGroup(g.rows);
+    }
+    return result;
+  }
+
+ private:
+  void PushCandidate(AttrId a, std::int32_t node_id) {
+    const TaxonomyNode& node = taxonomies_[a].node(node_id);
+    if (node.is_leaf()) return;
+    const TaxonomyNode& left = taxonomies_[a].node(node.left);
+    const TaxonomyNode& right = taxonomies_[a].node(node.right);
+    double gain = 0.0;
+    double log_w = std::log2(static_cast<double>(node.width()));
+    for (Value v = node.lo; v < node.hi; ++v) {
+      double child_w = (v < left.hi) ? left.width() : right.width();
+      gain += static_cast<double>(value_counts_[a][v]) *
+              (log_w - std::log2(static_cast<double>(child_w)));
+    }
+    candidates_.push(ReferenceTdsCandidate{gain, a, node_id});
+  }
+
+  // Validates and, when valid, applies the specialization of `node_id` on
+  // attribute `a`: every group currently published at that node splits into
+  // its left/right pieces; all pieces must stay l-eligible.
+  bool TrySpecialize(AttrId a, std::int32_t node_id) {
+    auto it = node_groups_[a].find(node_id);
+    std::vector<GroupId> affected;
+    if (it != node_groups_[a].end()) {
+      for (GroupId g : it->second) {
+        if (groups_[g].alive && groups_[g].node_ids[a] == node_id) affected.push_back(g);
+      }
+    }
+    const TaxonomyNode& node = taxonomies_[a].node(node_id);
+    const Value mid = taxonomies_[a].node(node.left).hi;
+
+    // Validation pass (no mutation).
+    SaHistogram left_hist(table_.schema().sa_domain_size());
+    SaHistogram right_hist(table_.schema().sa_domain_size());
+    for (GroupId g : affected) {
+      left_hist = SaHistogram(table_.schema().sa_domain_size());
+      right_hist = SaHistogram(table_.schema().sa_domain_size());
+      for (RowId r : groups_[g].rows) {
+        (table_.qi(r, a) < mid ? left_hist : right_hist).Add(table_.sa(r));
+      }
+      if (!left_hist.IsEligible(l_) || !right_hist.IsEligible(l_)) return false;
+    }
+
+    // Apply: update the cut ...
+    for (Value v = node.lo; v < node.hi; ++v) {
+      value_to_node_[a][v] = (v < mid) ? node.left : node.right;
+    }
+    // ... and split the affected groups.
+    for (GroupId g : affected) {
+      SplitGroup(g, a, mid, node.left, node.right);
+    }
+    if (it != node_groups_[a].end()) node_groups_[a].erase(it);
+    return true;
+  }
+
+  void SplitGroup(GroupId g, AttrId a, Value mid, std::int32_t left_node,
+                  std::int32_t right_node) {
+    std::vector<RowId> left_rows, right_rows;
+    for (RowId r : groups_[g].rows) {
+      (table_.qi(r, a) < mid ? left_rows : right_rows).push_back(r);
+    }
+    if (left_rows.empty() || right_rows.empty()) {
+      // The group sits entirely inside one child: only its label refines.
+      std::int32_t child = left_rows.empty() ? right_node : left_node;
+      groups_[g].node_ids[a] = child;
+      node_groups_[a][child].push_back(g);
+      return;
+    }
+    groups_[g].alive = false;
+    AddChildGroup(g, a, left_node, std::move(left_rows));
+    AddChildGroup(g, a, right_node, std::move(right_rows));
+  }
+
+  void AddChildGroup(GroupId parent, AttrId a, std::int32_t node_id, std::vector<RowId> rows) {
+    ReferenceTdsGroup child;
+    child.histogram = SaHistogram(table_.schema().sa_domain_size());
+    for (RowId r : rows) child.histogram.Add(table_.sa(r));
+    child.rows = std::move(rows);
+    child.node_ids = groups_[parent].node_ids;
+    child.node_ids[a] = node_id;
+    GroupId id = static_cast<GroupId>(groups_.size());
+    groups_.push_back(std::move(child));
+    for (AttrId attr = 0; attr < table_.qi_count(); ++attr) {
+      node_groups_[attr][groups_[id].node_ids[attr]].push_back(id);
+    }
+  }
+
+  const Table& table_;
+  std::uint32_t l_;
+  std::vector<Taxonomy> taxonomies_;
+  std::vector<std::vector<std::int32_t>> value_to_node_;
+  std::vector<std::vector<std::uint64_t>> value_counts_;
+  std::vector<ReferenceTdsGroup> groups_;
+  // Per attribute: taxonomy node id -> group ids published at that node
+  // (entries are validated lazily against the group's current node).
+  std::vector<std::unordered_map<std::int32_t, std::vector<GroupId>>> node_groups_;
+  std::priority_queue<ReferenceTdsCandidate> candidates_;
+};
+
+TdsResult ReferenceRunTds(const Table& table, std::uint32_t l) {
+  TdsResult result;
+  if (table.empty() || !IsTableEligible(table, l)) {
+    result.feasible = table.empty();
+    return result;
+  }
+  ReferenceTdsState state(table, l);
+  std::uint32_t applied = state.RunToCompletion();
+  result = state.BuildResult();
+  result.specializations = applied;
+  return result;
+}
+
+// ---------------------------------------------------------------------------
 // Equivalence tests
 // ---------------------------------------------------------------------------
 
@@ -388,6 +585,77 @@ TEST(MondrianEquivalence, MatchesSeedOnAcsWorkload) {
   ASSERT_TRUE(actual.feasible);
   ExpectSamePartition(expected.partition, actual.partition);
   ExpectSameBoxes(expected.generalization, actual.generalization);
+}
+
+// The point-level TDS against the row-level reference: the same cut, the
+// same partition (group order and row order) and the same number of
+// specializations, with the grouping built inside RunTds or supplied.
+void ExpectSameTds(const Table& table, std::uint32_t l) {
+  SCOPED_TRACE("n=" + std::to_string(table.size()) + " d=" + std::to_string(table.qi_count()) +
+               " m=" + std::to_string(table.schema().sa_domain_size()) +
+               " l=" + std::to_string(l));
+  const TdsResult expected = ReferenceRunTds(table, l);
+  const GroupedTable grouped(table);
+  for (const TdsResult& actual : {RunTds(table, l), RunTds(table, l, &grouped)}) {
+    ASSERT_EQ(expected.feasible, actual.feasible);
+    EXPECT_EQ(expected.specializations, actual.specializations);
+    ExpectSamePartition(expected.partition, actual.partition);
+    ASSERT_EQ(expected.generalization == nullptr, actual.generalization == nullptr);
+    if (expected.generalization == nullptr) continue;
+    for (AttrId a = 0; a < table.qi_count(); ++a) {
+      std::vector<std::int32_t> expected_cut, actual_cut;
+      for (Value v = 0; v < table.schema().qi(a).domain_size; ++v) {
+        expected_cut.push_back(expected.generalization->NodeFor(a, v));
+        actual_cut.push_back(actual.generalization->NodeFor(a, v));
+      }
+      EXPECT_EQ(expected_cut, actual_cut) << "attribute " << a;
+    }
+  }
+}
+
+TEST(TdsEquivalence, MatchesRowLevelReferenceOnSal) {
+  Table sal = GenerateSal(3000, 5);
+  for (std::size_t d = 1; d <= kAcsQiCount; ++d) {
+    std::vector<AttrId> attrs(d);
+    for (std::size_t a = 0; a < d; ++a) attrs[a] = static_cast<AttrId>(a);
+    Table t = sal.ProjectQi(attrs);
+    for (std::uint32_t l : {2u, 4u, 6u}) ExpectSameTds(t, l);
+  }
+}
+
+TEST(TdsEquivalence, MatchesRowLevelReferenceOnDegenerateTables) {
+  // Identical QI vectors: one point, whatever n is.
+  Schema schema = testutil::MakeSchema({8, 3, 5}, 5);
+  Table identical(schema);
+  for (std::uint32_t i = 0; i < 200; ++i) {
+    const std::vector<Value> qi{6, 1, 2};
+    identical.AppendRow(qi, i % 5);
+  }
+  for (std::uint32_t l : {2u, 4u, 5u}) ExpectSameTds(identical, l);
+
+  // m = l: every cell must hold every SA value equally often.
+  Rng rng(4061);
+  for (std::uint32_t l : {2u, 3u}) {
+    ExpectSameTds(testutil::RandomEligibleTable(rng, 600, {16, 8, 4}, l, l), l);
+  }
+  // Random shapes, wide and narrow domains.
+  ExpectSameTds(testutil::RandomEligibleTable(rng, 900, {79, 2, 9, 17}, 10, 4), 4);
+  ExpectSameTds(testutil::RandomEligibleTable(rng, 500, {300, 250}, 6, 2), 2);
+
+  // A single row: 1-diverse, never 2-diverse.
+  Table single(schema);
+  const std::vector<Value> qi{3, 0, 4};
+  single.AppendRow(qi, 2);
+  ExpectSameTds(single, 1);
+  ExpectSameTds(single, 2);
+
+  // An infeasible table: one SA value throughout.
+  Table infeasible(schema);
+  for (Value v = 0; v < 8; ++v) {
+    const std::vector<Value> row{v, v % 3, v % 5};
+    infeasible.AppendRow(row, 0);
+  }
+  ExpectSameTds(infeasible, 2);
 }
 
 TEST(KlEquivalence, SuppressionMatchesSeedAcrossAlgorithms) {
@@ -561,6 +829,37 @@ TEST_F(ThreadCountEquivalence, KernelsAreByteIdenticalAcrossThreadBudgets) {
     // combine order are fixed, so the doubles cannot drift.
     EXPECT_EQ(KlDivergenceSuppression(t, generalized), kl_suppression_ref);
     EXPECT_EQ(KlDivergenceMultiDim(t, mondrian.generalization), kl_multidim_ref);
+  }
+}
+
+TEST_F(ThreadCountEquivalence, KlGroupedFormMatchesTableOnlyForm) {
+  // Each point-based estimator with the GroupedTable supplied and without
+  // it (building its own), at 1 and 4 threads: the same bits in every cell.
+  Table sal = GenerateSal(20000, 1);
+  Table t = sal.ProjectQi({kAge, kGender, kRace, kEducation});
+  const GroupedTable grouped(t);
+  GeneralizedTable generalized(t, RunTp(grouped, 6).ToPartition());
+  const MondrianResult mondrian = MondrianAnonymize(t, 6);
+  const TdsResult tds = RunTds(t, 6, &grouped);
+  ASSERT_TRUE(mondrian.feasible);
+  ASSERT_TRUE(tds.feasible);
+
+  SetThreadBudget(1);
+  const double suppression = KlDivergenceSuppression(t, generalized);
+  const double multidim = KlDivergenceMultiDim(t, mondrian.generalization);
+  const double singledim = KlDivergenceSingleDim(t, *tds.generalization);
+  EXPECT_GT(suppression, 0.0);
+  EXPECT_GT(multidim, 0.0);
+  EXPECT_GT(singledim, 0.0);
+  for (unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SetThreadBudget(threads);
+    EXPECT_EQ(KlDivergenceSuppression(t, generalized, &grouped), suppression);
+    EXPECT_EQ(KlDivergenceSuppression(t, generalized), suppression);
+    EXPECT_EQ(KlDivergenceMultiDim(t, mondrian.generalization, &grouped), multidim);
+    EXPECT_EQ(KlDivergenceMultiDim(t, mondrian.generalization), multidim);
+    EXPECT_EQ(KlDivergenceSingleDim(t, *tds.generalization, &grouped), singledim);
+    EXPECT_EQ(KlDivergenceSingleDim(t, *tds.generalization), singledim);
   }
 }
 

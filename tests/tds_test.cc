@@ -96,11 +96,14 @@ TEST(Tds, AllCellsAreLEligible) {
     ASSERT_TRUE(result.feasible);
     EXPECT_TRUE(result.partition.CoversExactly(table));
     EXPECT_TRUE(IsLDiverse(table, result.partition, l)) << "l=" << l;
-    // Groups match the published cells: all rows of a group share a cell id.
+    // Groups match the published cells: all rows of a group share the
+    // published node of every attribute.
     for (const auto& group : result.partition.groups()) {
-      std::uint64_t cell = result.generalization->PackedCellId(table.qi_row(group[0]));
       for (RowId r : group) {
-        EXPECT_EQ(result.generalization->PackedCellId(table.qi_row(r)), cell);
+        for (AttrId a = 0; a < table.qi_count(); ++a) {
+          EXPECT_EQ(result.generalization->NodeFor(a, table.qi(r, a)),
+                    result.generalization->NodeFor(a, table.qi(group[0], a)));
+        }
       }
     }
   }
