@@ -1,7 +1,6 @@
 // google-benchmark microbenchmarks of the building blocks, including the
 // DESIGN.md ablations: the Section 5.5 inverted list vs a naive O(m)
-// scanning multiset, grouped (multiset) processing vs the raw table, and
-// the greedy vs window-DP Hilbert splitters.
+// scanning multiset and grouped (multiset) processing vs the raw table.
 //
 // The perf-regression rows (grouping / tp_solve / tds_solve / mondrian /
 // kl_* at n in {10k, 100k}) are additionally exported as BENCH_micro.json
@@ -160,18 +159,6 @@ void BM_HilbertPartitionGreedy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * t.size());
 }
 BENCHMARK(BM_HilbertPartitionGreedy);
-
-void BM_HilbertPartitionWindowDp(benchmark::State& state) {
-  const Table& t = CachedSal4();
-  HilbertOptions options;
-  options.splitter = HilbertOptions::Splitter::kWindowDp;
-  for (auto _ : state) {
-    HilbertResult result = HilbertAnonymize(t, 6, options);
-    benchmark::DoNotOptimize(result.partition.group_count());
-  }
-  state.SetItemsProcessed(state.iterations() * t.size());
-}
-BENCHMARK(BM_HilbertPartitionWindowDp);
 
 // ---- Perf-regression rows (exported to BENCH_micro.json) ----
 //
@@ -353,29 +340,15 @@ BENCHMARK(BM_GroupingPaged)->Name("grouping_paged")->Arg(10000)->Arg(100000);
 
 // ---- Intra-run parallel series ----
 //
-// The hot kernels again, under explicit thread budgets (1 / 2 / 4): the
-// Hilbert window-DP partitioner on the 50k SAL-4 table, Mondrian on the
-// 100k SAL-4 table, and grouping on the full-width 100k SAL-7 table.
+// The hot kernels again, under explicit thread budgets (1 / 2 / 4):
+// Mondrian on the 100k SAL-4 table and grouping on the full-width 100k
+// SAL-7 table.
 // Outputs are byte-identical across budgets (perf_equivalence_test's
 // ThreadCountEquivalence suite), so these series measure pure scheduling
 // win -- on a single-core host the 2t/4t rows simply document the
 // oversubscription overhead. Registered with explicit ".../Nt" names so
 // the trajectory keys stay stable; the budget travels as the `threads`
 // field.
-
-void RunHilbertDpPar(benchmark::State& state, unsigned threads) {
-  const Table& t = CachedSal4();
-  HilbertOptions options;
-  options.splitter = HilbertOptions::Splitter::kWindowDp;
-  Workspace ws;
-  SetThreadBudget(threads);
-  for (auto _ : state) {
-    HilbertResult result = HilbertAnonymize(t, 6, options, &ws);
-    benchmark::DoNotOptimize(result.partition.group_count());
-  }
-  SetThreadBudget(1);
-  state.SetItemsProcessed(state.iterations() * t.size());
-}
 
 void RunMondrianPar(benchmark::State& state, unsigned threads) {
   const Table& t = SizedSal4(100000);
@@ -511,10 +484,6 @@ void RegisterParallelSeries() {
       return name;
     };
     benchmark::RegisterBenchmark(
-        series("hilbert_dp_par").c_str(),
-        [threads](benchmark::State& state) { RunHilbertDpPar(state, threads); });
-    FieldRegistry()[series("hilbert_dp_par")] = {50000, 4, threads, ActiveSimd()};
-    benchmark::RegisterBenchmark(
         series("mondrian_par").c_str(),
         [threads](benchmark::State& state) { RunMondrianPar(state, threads); });
     FieldRegistry()[series("mondrian_par")] = {100000, 4, threads, ActiveSimd()};
@@ -563,7 +532,6 @@ void RegisterBenchFields() {
   }
   fields["BM_TpEndToEnd"] = {50000, 4, 1};
   fields["BM_HilbertPartitionGreedy"] = {50000, 4, 1};
-  fields["BM_HilbertPartitionWindowDp"] = {50000, 4, 1};
 }
 
 // google-benchmark < 1.8 flags failed runs with Run::error_occurred;

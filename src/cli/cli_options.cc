@@ -1,10 +1,10 @@
 #include "cli/cli_options.h"
 
 #include <array>
-#include <charconv>
+#include <optional>
+#include <vector>
 
 #include "common/flags.h"
-#include "common/memory_budget.h"
 #include "common/schema_spec.h"
 
 namespace ldv {
@@ -57,131 +57,31 @@ bool ParseCliOptions(int argc, const char* const* argv, CliOptions* options, std
     return false;
   }
 
-  // Syntactic layer: flag grammar, typed values, and flag-PRESENCE
-  // conflicts (which only the parser can see -- a JobSpec has no notion
-  // of which keys were explicitly set).
-  std::string algo_list;
-  if (!flags.GetString("algo", "tp+", &algo_list, error)) return false;
-  if (!ParseAlgorithmList(algo_list, &options->algorithms, error)) return false;
-
-  constexpr std::array<std::uint32_t, 1> kDefaultL = {2};
-  if (!flags.GetUint32List("l", kDefaultL, &options->ls, error)) return false;
-
-  if (!flags.GetString("input", "", &options->input, error)) return false;
-  std::string format_text;
-  if (!flags.GetString("format", "auto", &format_text, error)) return false;
-  if (!ParseCsvFormat(format_text, &options->format, error)) {
-    *error = "--format: " + *error;
+  JobSpec spec;
+  if (std::optional<PipelineError> bad = ReadJobSpecKeys(flags, &spec)) {
+    *error = bad->message;
     return false;
   }
-  if (options->input.empty() && flags.Has("format")) {
-    *error = "--format only applies to --input CSV data";
-    return false;
-  }
-  std::string schema_spec;
-  if (!flags.GetString("schema", "", &schema_spec, error)) return false;
-  if (options->input.empty() && !schema_spec.empty()) {
-    *error = "--schema only applies to --input CSV data (synthetic datasets carry their own)";
-    return false;
-  }
-
-  if (!flags.GetString("dataset", "sal", &options->dataset.name, error)) return false;
-  std::uint64_t seed = 0;
-  if (!flags.GetUint64("seed", 0, &seed, error)) return false;
-  options->dataset.seed = seed;
-  constexpr std::array<std::uint64_t, 1> kDefaultN = {10000};
-  constexpr std::array<std::uint64_t, 1> kDefaultD = {3};
-  if (!flags.GetUint64List("n", kDefaultN, &options->ns, error)) return false;
-  if (!flags.GetUint64List("d", kDefaultD, &options->ds, error)) return false;
-  if (!options->input.empty()) {
-    for (std::string_view f : {"dataset", "n", "d", "seed"}) {
-      if (flags.Has(f)) {
-        *error = "--" + std::string(f) + " applies to synthetic data and conflicts with --input";
-        return false;
-      }
-    }
-    options->ns = {0};
-    options->ds = {0};
-  }
-
-  if (!flags.GetString("out", "ldiv_out", &options->out, error)) return false;
-  if (!flags.GetBool("sweep", false, &options->sweep, error)) return false;
-  if (!flags.GetBool("write-releases", false, &options->write_releases, error)) return false;
-  if (!flags.GetBool("kl", true, &options->compute_kl, error)) return false;
   bool no_timings = false;
   if (!flags.GetBool("no-timings", false, &no_timings, error)) return false;
-  options->timings = !no_timings;
-  std::string threads_text;
-  if (!flags.GetString("threads", "auto", &threads_text, error)) return false;
-  if (threads_text == "auto") {
-    options->threads = 0;
-  } else {
-    const char* begin = threads_text.data();
-    const char* end = begin + threads_text.size();
-    auto [ptr, ec] = std::from_chars(begin, end, options->threads);
-    if (ec != std::errc{} || ptr != end) {
-      *error = "--threads: expected a thread count or 'auto', got '" + threads_text + "'";
-      return false;
-    }
-  }
-  std::string budget_text;
-  if (!flags.GetString("memory-budget", "", &budget_text, error)) return false;
-  if (!budget_text.empty()) {
-    if (!ParseByteSize(budget_text, &options->memory_budget, error)) {
-      *error = "--memory-budget: " + *error;
-      return false;
-    }
-  }
-  std::string artifact_text;
-  if (!flags.GetString("artifact-cache", "", &artifact_text, error)) return false;
-  if (!artifact_text.empty()) {
-    if (!ParseByteSize(artifact_text, &options->artifact_cache, error)) {
-      *error = "--artifact-cache: " + *error;
-      return false;
-    }
-  }
-  if (!flags.GetString("emit-input", "", &options->emit_input, error)) return false;
+  spec.timings = !no_timings;
 
-  // Semantic layer: the one validation pass shared with the daemon.
-  // Passing the raw schema text (instead of a formatted round-trip) keeps
-  // the user's spelling in error messages.
-  JobSpec spec = ToJobSpec(*options);
-  spec.schema_spec = schema_spec;
+  // The one validation pass shared with the daemon. It sees the user's
+  // schema text, so its errors keep the user's spelling.
   Expected<ResolvedJobSpec, PipelineError> resolved = ResolveJobSpec(spec);
   if (!resolved.ok()) {
     *error = resolved.error().message;
     return false;
   }
-  if (!options->input.empty()) {
-    // Surface the resolved encoding so the pipeline (and tests) only ever
-    // see kCoded or kRaw.
-    options->format = resolved->format;
-    options->schema = resolved->schema;
+  options->spec = std::move(resolved->spec);
+  if (!options->spec.input.empty()) {
+    options->spec.format = resolved->format;
+    options->spec.schema_spec = resolved->schema ? FormatSchemaSpec(*resolved->schema) : "";
   }
   return true;
 }
 
-JobSpec ToJobSpec(const CliOptions& options) {
-  JobSpec spec;
-  spec.algorithms = options.algorithms;
-  spec.ls = options.ls;
-  spec.input = options.input;
-  spec.format = options.format;
-  spec.schema_spec = options.schema.has_value() ? FormatSchemaSpec(*options.schema) : "";
-  spec.dataset = options.dataset;
-  spec.ns = options.ns;
-  spec.ds = options.ds;
-  spec.out = options.out;
-  spec.sweep = options.sweep;
-  spec.write_releases = options.write_releases;
-  spec.compute_kl = options.compute_kl;
-  spec.timings = options.timings;
-  spec.threads = options.threads;
-  spec.memory_budget = options.memory_budget;
-  spec.artifact_cache = options.artifact_cache;
-  spec.emit_input = options.emit_input;
-  return spec;
-}
+JobSpec ToJobSpec(const CliOptions& options) { return options.spec; }
 
 std::string CliUsage(std::string_view program) {
   std::string usage;

@@ -139,7 +139,7 @@ class TpPlusAnonymizer final : public Anonymizer {
   bool RunRaw(const Table& table, std::uint32_t l, Workspace* workspace,
               const TableArtifacts* artifacts, AnonymizationOutcome* out) const override {
     TpPlusResult r =
-        RunTpPlus(table, l, options().hilbert, workspace, artifacts->grouped.get());
+        RunTpPlus(table, l, HilbertOptions{}, workspace, artifacts->grouped.get());
     if (!r.feasible) return false;
     out->partition = std::move(r.partition);
     out->seconds = r.seconds();
@@ -157,7 +157,7 @@ class HilbertAnonymizer final : public Anonymizer {
               const TableArtifacts* artifacts, AnonymizationOutcome* out) const override {
     const std::vector<RowId>* order =
         artifacts != nullptr ? artifacts->hilbert_order.get() : nullptr;
-    HilbertResult r = HilbertAnonymize(table, l, options().hilbert, workspace, order);
+    HilbertResult r = HilbertAnonymize(table, l, HilbertOptions{}, workspace, order);
     if (!r.feasible) return false;
     out->partition = std::move(r.partition);
     out->seconds = r.seconds;

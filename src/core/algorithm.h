@@ -66,9 +66,6 @@ const char* MethodologyName(Methodology methodology);
 /// defaults below; callers needing different knobs create their own
 /// instance through AlgorithmRegistry::Create.
 struct AnonymizerOptions {
-  /// Splitting strategy for the Hilbert-based algorithms (kHilbert and the
-  /// refinement stage of kTpPlus); ignored by the others.
-  HilbertOptions hilbert;
   /// When false, the shared post-processing skips the KL-divergence
   /// estimate (Equation 2). Timing sweeps disable it so post-processing
   /// stays negligible next to the measured solve.

@@ -352,4 +352,11 @@ Expected<ExecuteSummary, PipelineError> Engine::Execute(const JobSpec& spec,
   return summary;
 }
 
+Engine& GlobalEngine() {
+  // Leaked intentionally: cached tables must stay valid for any
+  // static-destruction-order stragglers.
+  static Engine* engine = new Engine;
+  return *engine;
+}
+
 }  // namespace ldv

@@ -153,6 +153,10 @@ class Engine {
   ArtifactCache artifact_cache_;
 };
 
+/// The process-wide engine of the one-shot CLI: one DatasetCache, one
+/// ArtifactCache, one run lock. The daemon constructs its own Engine.
+Engine& GlobalEngine();
+
 }  // namespace ldv
 
 #endif  // LDIV_ENGINE_ENGINE_H_

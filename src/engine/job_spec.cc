@@ -1,6 +1,7 @@
 #include "engine/job_spec.h"
 
 #include <array>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -131,6 +132,89 @@ std::string SerializeJobSpec(const JobSpec& spec) {
   return text;
 }
 
+std::optional<PipelineError> ReadJobSpecKeys(const FlagSet& keys, JobSpec* spec) {
+  const JobSpec defaults;
+  std::string error;
+  const auto bad = [&error](std::string_view key) { return UsageError(std::string(key), error); };
+  // A key's raw text, or `def` when absent (GetString cannot fail).
+  const auto text = [&](std::string_view key, std::string_view def) {
+    std::string value;
+    keys.GetString(key, def, &value, &error);
+    return value;
+  };
+  // A byte size (ParseByteSize grammar); absent or empty keeps `def`.
+  const auto byte_size = [&](std::string_view key, std::uint64_t def, std::uint64_t* out) {
+    const std::string value = text(key, "");
+    *out = def;
+    if (value.empty() || ParseByteSize(value, out, &error)) return true;
+    error = "--" + std::string(key) + ": " + error;
+    return false;
+  };
+
+  if (!ParseAlgorithmList(text("algo", "tp+"), &spec->algorithms, &error)) return bad("algo");
+  if (!keys.GetUint32List("l", defaults.ls, &spec->ls, &error)) return bad("l");
+
+  spec->input = text("input", defaults.input);
+  if (!ParseCsvFormat(text("format", "auto"), &spec->format, &error)) {
+    error = "--format: " + error;
+    return bad("format");
+  }
+  spec->schema_spec = text("schema", defaults.schema_spec);
+  if (spec->input.empty() && keys.Has("format")) {
+    error = "--format only applies to --input CSV data";
+    return bad("format");
+  }
+  if (spec->input.empty() && !spec->schema_spec.empty()) {
+    error = "--schema only applies to --input CSV data (synthetic datasets carry their own)";
+    return bad("schema");
+  }
+
+  spec->dataset.name = text("dataset", defaults.dataset.name);
+  if (!keys.GetUint64("seed", defaults.dataset.seed, &spec->dataset.seed, &error)) {
+    return bad("seed");
+  }
+  if (!keys.GetUint64List("n", defaults.ns, &spec->ns, &error)) return bad("n");
+  if (!keys.GetUint64List("d", defaults.ds, &spec->ds, &error)) return bad("d");
+  if (!spec->input.empty()) {
+    for (std::string_view key : {"dataset", "n", "d", "seed"}) {
+      if (keys.Has(key)) {
+        error = "--" + std::string(key) + " applies to synthetic data and conflicts with --input";
+        return bad(key);
+      }
+    }
+  }
+
+  spec->out = text("out", defaults.out);
+  if (!keys.GetBool("sweep", defaults.sweep, &spec->sweep, &error)) return bad("sweep");
+  if (!keys.GetBool("write-releases", defaults.write_releases, &spec->write_releases, &error)) {
+    return bad("write-releases");
+  }
+  if (!keys.GetBool("kl", defaults.compute_kl, &spec->compute_kl, &error)) return bad("kl");
+  if (!keys.GetBool("timings", defaults.timings, &spec->timings, &error)) return bad("timings");
+  const std::string threads = text("threads", "auto");
+  std::uint64_t thread_count = 0;
+  if (threads != "auto" && (!ParseUint64(threads, &thread_count) ||
+                            thread_count > std::numeric_limits<std::uint32_t>::max())) {
+    error = "--threads: expected a thread count or 'auto', got '" + threads + "'";
+    return bad("threads");
+  }
+  spec->threads = static_cast<std::uint32_t>(thread_count);
+  if (!byte_size("memory-budget", defaults.memory_budget, &spec->memory_budget)) {
+    return bad("memory-budget");
+  }
+  if (!byte_size("artifact-cache", defaults.artifact_cache, &spec->artifact_cache)) {
+    return bad("artifact-cache");
+  }
+  spec->emit_input = text("emit-input", defaults.emit_input);
+  if (!keys.GetUint32("priority", defaults.priority, &spec->priority, &error)) {
+    return bad("priority");
+  }
+  if (!keys.GetUint64("deadline-ms", defaults.deadline_ms, &spec->deadline_ms, &error)) {
+    return bad("deadline-ms");
+  }
+  return std::nullopt;
+}
+
 Expected<JobSpec, PipelineError> ParseJobSpec(std::string_view text) {
   if (std::optional<PipelineError> strict = CheckJobSpecText(text)) return *strict;
   FlagSet keys;
@@ -153,48 +237,7 @@ Expected<JobSpec, PipelineError> ParseJobSpec(std::string_view text) {
   }
 
   JobSpec spec;
-  std::string algo_list;
-  if (!keys.GetString("algo", "tp+", &algo_list, &error)) return UsageError("algo", error);
-  if (!ParseAlgorithmList(algo_list, &spec.algorithms, &error)) return UsageError("algo", error);
-  constexpr std::array<std::uint32_t, 1> kDefaultL = {2};
-  if (!keys.GetUint32List("l", kDefaultL, &spec.ls, &error)) return UsageError("l", error);
-
-  if (!keys.GetString("input", "", &spec.input, &error)) return UsageError("input", error);
-  std::string format_text;
-  if (!keys.GetString("format", "auto", &format_text, &error)) return UsageError("format", error);
-  if (!ParseCsvFormat(format_text, &spec.format, &error)) return UsageError("format", error);
-  if (!keys.GetString("schema", "", &spec.schema_spec, &error)) return UsageError("schema", error);
-
-  if (!keys.GetString("dataset", "sal", &spec.dataset.name, &error)) {
-    return UsageError("dataset", error);
-  }
-  if (!keys.GetUint64("seed", 0, &spec.dataset.seed, &error)) return UsageError("seed", error);
-  constexpr std::array<std::uint64_t, 1> kDefaultN = {10000};
-  constexpr std::array<std::uint64_t, 1> kDefaultD = {3};
-  if (!keys.GetUint64List("n", kDefaultN, &spec.ns, &error)) return UsageError("n", error);
-  if (!keys.GetUint64List("d", kDefaultD, &spec.ds, &error)) return UsageError("d", error);
-
-  if (!keys.GetString("out", "ldiv_out", &spec.out, &error)) return UsageError("out", error);
-  if (!keys.GetBool("sweep", false, &spec.sweep, &error)) return UsageError("sweep", error);
-  if (!keys.GetBool("write-releases", false, &spec.write_releases, &error)) {
-    return UsageError("write-releases", error);
-  }
-  if (!keys.GetBool("kl", true, &spec.compute_kl, &error)) return UsageError("kl", error);
-  if (!keys.GetBool("timings", true, &spec.timings, &error)) return UsageError("timings", error);
-  if (!keys.GetUint32("threads", 0, &spec.threads, &error)) return UsageError("threads", error);
-  if (!keys.GetUint64("memory-budget", 0, &spec.memory_budget, &error)) {
-    return UsageError("memory-budget", error);
-  }
-  if (!keys.GetUint64("artifact-cache", kArtifactCacheAuto, &spec.artifact_cache, &error)) {
-    return UsageError("artifact-cache", error);
-  }
-  if (!keys.GetString("emit-input", "", &spec.emit_input, &error)) {
-    return UsageError("emit-input", error);
-  }
-  if (!keys.GetUint32("priority", 0, &spec.priority, &error)) return UsageError("priority", error);
-  if (!keys.GetUint64("deadline-ms", 0, &spec.deadline_ms, &error)) {
-    return UsageError("deadline-ms", error);
-  }
+  if (std::optional<PipelineError> bad = ReadJobSpecKeys(keys, &spec)) return *bad;
   return spec;
 }
 

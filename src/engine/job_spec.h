@@ -15,6 +15,8 @@
 
 namespace ldv {
 
+class FlagSet;
+
 /// The wire-format version SerializeJobSpec emits and ParseJobSpec
 /// accepts. Bump on any incompatible key change.
 inline constexpr std::uint32_t kJobSpecVersion = 1;
@@ -78,9 +80,21 @@ struct JobSpec {
 /// spec; keys holding their default value are omitted.
 std::string SerializeJobSpec(const JobSpec& spec);
 
+/// THE reader of job keys, shared by the CLI flags (and `--config`
+/// files) and the daemon's wire text: sets every JobSpec field from its
+/// key in `keys`, or to the JobSpec default when the key is absent.
+/// `threads` takes a count or `auto`; `memory-budget` and
+/// `artifact-cache` take ParseByteSize sizes (512M, 2G, plain bytes).
+/// Also rejects the presence conflicts only the keys show: `format` or a
+/// non-empty `schema` without `input`, and `dataset`/`n`/`d`/`seed`
+/// with it. Errors name the key in `field`. Callers check unknown keys
+/// and front-end keys (`version`, `config`, `no-timings`) themselves.
+std::optional<PipelineError> ReadJobSpecKeys(const FlagSet& keys, JobSpec* spec);
+
 /// Parses SerializeJobSpec output (or any hand-written spec in the same
-/// grammar). Rejects an unknown key, a missing or unsupported version,
-/// and any malformed value, naming the offending key in the error field.
+/// grammar): the strict duplicate/NUL/key-length pre-pass, the version
+/// and unknown-key checks, then ReadJobSpecKeys. Errors name the
+/// offending key in the error field.
 Expected<JobSpec, PipelineError> ParseJobSpec(std::string_view text);
 
 /// A JobSpec that passed the single semantic validation pass: the CSV

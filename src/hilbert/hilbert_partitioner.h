@@ -12,23 +12,11 @@
 
 namespace ldv {
 
-/// Options for the Hilbert baseline.
-struct HilbertOptions {
-  enum class Splitter {
-    /// Linear greedy scan: close each QI-group as soon as it becomes
-    /// l-eligible; an ineligible tail is merged backwards until eligible.
-    /// This is the near-linear strategy of [16].
-    kGreedy,
-    /// Sliding-window dynamic program that picks the contiguous split with
-    /// the fewest stars among groups of bounded size. Slower, usually a
-    /// little better; kept as an ablation of the splitting rule.
-    kWindowDp,
-  };
-  Splitter splitter = Splitter::kGreedy;
-  /// Maximum group size considered by the kWindowDp splitter, as a multiple
-  /// of l (window = dp_window_factor * l).
-  std::uint32_t dp_window_factor = 4;
-};
+/// Options for the Hilbert baseline. Empty: the baseline always runs the
+/// greedy splitter of [16] (close each QI-group as soon as it becomes
+/// l-eligible, merge an ineligible tail backwards). The type stays in the
+/// RunTpPlus/HilbertAnonymize signatures for their existing callers.
+struct HilbertOptions {};
 
 /// Result of the Hilbert baseline.
 struct HilbertResult {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <optional>
 #include <span>
 #include <vector>
@@ -50,12 +51,97 @@ std::vector<DataPoint> FirstOccurrencePoints(const GroupedTable& grouped) {
   return ordered;
 }
 
-// *stride *= radix, refusing to wrap: a packed key must stay exact.
-void Grow(std::uint64_t* stride, std::uint64_t radix) {
-  LDIV_CHECK_LT(*stride, std::numeric_limits<std::uint64_t>::max() / (radix + 1))
-      << "mask bucket key space exceeds 64 bits";
-  *stride *= radix;
-}
+// Exact numbering of the distinct projections of QI vectors onto the
+// unstarred attributes of one star pattern, in order of first addition.
+// Open-addressed slots hold a hash tag and a projection id; a probe
+// compares the full projection of any slot whose tag matches, so ids are
+// exact for any number of attributes and any domain sizes.
+class Projections {
+ public:
+  static constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+
+  explicit Projections(std::vector<AttrId> unstarred) : unstarred_(std::move(unstarred)) {
+    for (AttrId a : unstarred_) multipliers_.push_back(MixU64(a) | 1u);
+  }
+
+  // The id of the projection of QI vector `qi`, added when absent.
+  std::uint32_t FindOrAdd(const Value* qi) {
+    if (4 * (count_ + 1) > 3 * slots_.size()) Grow();
+    const std::uint64_t hash = Hash(qi);
+    Slot& slot = slots_[Probe(qi, hash)];
+    if (slot.tag == kEmpty) {
+      slot = Slot{Tag(hash), count_++};
+      for (AttrId a : unstarred_) values_.push_back(qi[a]);
+    }
+    return slot.id;
+  }
+
+  // The id of the projection of `qi`, or kNone.
+  std::uint32_t Find(const Value* qi) const {
+    const Slot& slot = slots_[Probe(qi, Hash(qi))];
+    return slot.tag != kEmpty ? slot.id : kNone;
+  }
+
+ private:
+  static constexpr std::uint32_t kEmpty = 0;
+  struct Slot {
+    std::uint32_t tag = kEmpty;  // high hash bits, never kEmpty when used
+    std::uint32_t id = 0;
+  };
+
+  static std::uint32_t Tag(std::uint64_t hash) {
+    return static_cast<std::uint32_t>(hash >> 32) | 1u;
+  }
+
+  // Independent multiply-adds over the projection of `qi`, then one
+  // full-avalanche mix.
+  std::uint64_t Hash(const Value* qi) const {
+    std::uint64_t hash = 0;
+    for (std::size_t k = 0; k < unstarred_.size(); ++k) {
+      hash += multipliers_[k] * qi[unstarred_[k]];
+    }
+    return MixU64(hash);
+  }
+
+  // The slot holding the projection of `qi`, or the empty slot where it
+  // would go.
+  std::size_t Probe(const Value* qi, std::uint64_t hash) const {
+    const std::size_t mask = slots_.size() - 1;
+    const std::size_t w = unstarred_.size();
+    const std::uint32_t tag = Tag(hash);
+    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+      const Slot& slot = slots_[i];
+      if (slot.tag == kEmpty) return i;
+      if (slot.tag != tag) continue;
+      const Value* values = values_.data() + slot.id * w;
+      std::size_t k = 0;
+      while (k < w && values[k] == qi[unstarred_[k]]) ++k;
+      if (k == w) return i;
+    }
+  }
+
+  // Doubles the slots (at least 16) and re-files every projection, with
+  // Hash's sum over its stored values.
+  void Grow() {
+    slots_.assign(std::max<std::size_t>(16, 2 * slots_.size()), Slot{});
+    const std::size_t mask = slots_.size() - 1;
+    const std::size_t w = unstarred_.size();
+    for (std::uint32_t id = 0; id < count_; ++id) {
+      std::uint64_t hash = 0;
+      for (std::size_t k = 0; k < w; ++k) hash += multipliers_[k] * values_[id * w + k];
+      hash = MixU64(hash);
+      std::size_t i = hash & mask;
+      while (slots_[i].tag != kEmpty) i = (i + 1) & mask;
+      slots_[i] = Slot{Tag(hash), id};
+    }
+  }
+
+  std::vector<AttrId> unstarred_;
+  std::vector<std::uint64_t> multipliers_;  // one odd multiplier per unstarred attribute
+  std::vector<Slot> slots_;                 // power-of-two size, at most 3/4 full
+  std::vector<Value> values_;               // projection id's values at [id*w, (id+1)*w)
+  std::uint32_t count_ = 0;
+};
 
 // Chunk sizes of the parallel per-point accumulation in the estimators
 // below. The partial sums are combined in ascending chunk order
@@ -76,97 +162,92 @@ double KlDivergenceSuppression(const Table& table, const GeneralizedTable& gener
   if (table.empty()) return 0.0;
   const Schema& schema = table.schema();
   const std::size_t d = table.qi_count();
-  LDIV_CHECK_LE(d, 20u);
   const double n = static_cast<double>(table.size());
   const std::size_t m = schema.sa_domain_size();
 
-  // Per star-mask aggregation: for each mask, map (projected unstarred
-  // values, SA) -> accumulated count / volume over groups with that mask.
-  // Masks live in a small flat vector (first-occurrence order); each
-  // bucket's mass lives in a FlatMap keyed by the packed projection.
-  struct MaskBucket {
-    std::vector<AttrId> unstarred;
-    std::vector<std::uint64_t> strides;  // one per unstarred attr, then SA
-    std::uint64_t sa_stride = 0;
+  // The groups of T* by star pattern (numbered in order of first
+  // occurrence). Per pattern, a cell is (projection id, SA) -- an exact
+  // 64-bit key -- and its mass sums its groups' count / volume in group
+  // order.
+  struct StarPattern {
+    Projections projections;
     FlatMap<double> mass;
   };
-  std::vector<MaskBucket> buckets;
-  FlatMap<std::uint32_t> bucket_index;
-
-  auto bucket_for_mask = [&](std::uint32_t mask) -> MaskBucket& {
-    auto [slot, inserted] =
-        bucket_index.TryEmplace(mask, static_cast<std::uint32_t>(buckets.size()));
-    if (inserted) {
-      MaskBucket& b = buckets.emplace_back();
-      std::uint64_t stride = 1;
-      for (AttrId a = 0; a < d; ++a) {
-        if ((mask >> a) & 1u) continue;  // starred
-        b.unstarred.push_back(a);
-        b.strides.push_back(stride);
-        Grow(&stride, schema.qi(a).domain_size);
-      }
-      b.sa_stride = stride;
-      Grow(&stride, m);
-    }
-    return buckets[*slot];
+  const auto cell = [](std::uint32_t projection, SaValue sa) {
+    return (std::uint64_t{projection} << 32) | sa;
   };
+  std::vector<StarPattern> patterns;
+  std::map<std::vector<AttrId>, std::size_t> pattern_index;
 
   // Dense per-group SA counter, reset through the touched list.
   std::vector<std::uint32_t> sa_counts(m, 0);
   std::vector<SaValue> sa_touched;
+  std::vector<AttrId> unstarred;
   for (GroupId g = 0; g < generalized.group_count(); ++g) {
     const std::vector<Value>& sig = generalized.signature(g);
-    std::uint32_t mask = 0;
+    unstarred.clear();
     double volume = 1.0;
     for (AttrId a = 0; a < d; ++a) {
       if (IsStar(sig[a])) {
-        mask |= 1u << a;
         volume *= static_cast<double>(schema.qi(a).domain_size);
+      } else {
+        unstarred.push_back(a);
       }
     }
-    MaskBucket& bucket = bucket_for_mask(mask);
+    auto [slot, inserted] = pattern_index.try_emplace(unstarred, patterns.size());
+    if (inserted) patterns.push_back(StarPattern{Projections(unstarred), {}});
+    StarPattern& pattern = patterns[slot->second];
+    const std::uint32_t projection = pattern.projections.FindOrAdd(sig.data());
     // SA counts of the group.
     sa_touched.clear();
     for (RowId r : generalized.rows(g)) {
       SaValue v = table.sa(r);
       if (sa_counts[v]++ == 0) sa_touched.push_back(v);
     }
-    std::uint64_t base = 0;
-    for (std::size_t i = 0; i < bucket.unstarred.size(); ++i) {
-      base += bucket.strides[i] * sig[bucket.unstarred[i]];
-    }
     for (SaValue v : sa_touched) {
-      bucket.mass[base + bucket.sa_stride * v] +=
-          static_cast<double>(sa_counts[v]) / volume;
+      pattern.mass[cell(projection, v)] += static_cast<double>(sa_counts[v]) / volume;
       sa_counts[v] = 0;
     }
   }
 
-  // Per-point probes only read the bucket maps, so the distinct points
-  // fan out in fixed chunks with one partial sum each, folded in chunk
-  // order. The p*log(p/q) fold is inline, one running sum per chunk.
+  // n * f*(p) for every distinct point p, summed over the patterns in
+  // their order: per pattern, each QI group's projection is looked up
+  // once, then each of its points probes its exact cell. Every pass
+  // writes only its own chunk's points.
   Workspace ws;
   std::optional<GroupedTable> local;
   if (grouped == nullptr) grouped = &local.emplace(table, &ws);
   const std::vector<DataPoint> points = FirstOccurrencePoints(*grouped);
+  std::vector<double> fstar_n(points.size(), 0.0);
+  std::vector<std::uint32_t> projection_of(grouped->group_count());
+  for (const StarPattern& pattern : patterns) {
+    ParallelFor(projection_of.size(), kKlSuppressionPointGrain, ws,
+                [&](std::size_t begin, std::size_t end, Workspace&) {
+                  for (GroupId g = begin; g < end; ++g) {
+                    projection_of[g] =
+                        pattern.projections.Find(grouped->group(g).qi_values.data());
+                  }
+                });
+    ParallelFor(points.size(), kKlSuppressionPointGrain, ws,
+                [&](std::size_t begin, std::size_t end, Workspace&) {
+                  for (std::size_t p = begin; p < end; ++p) {
+                    const std::uint32_t projection = projection_of[points[p].group];
+                    if (projection == Projections::kNone) continue;
+                    const double* mass = pattern.mass.Find(cell(projection, points[p].sa));
+                    if (mass != nullptr) fstar_n[p] += *mass;
+                  }
+                });
+  }
+
+  // The p*log(p/q) terms, folded in fixed chunks combined in chunk order.
   return ParallelReduce(
       points.size(), kKlSuppressionPointGrain, ws, 0.0,
       [&](std::size_t begin, std::size_t end, Workspace&) {
         double partial = 0.0;
         for (std::size_t p = begin; p < end; ++p) {
           const DataPoint& pc = points[p];
-          const std::span<const Value> qi = grouped->group(pc.group).qi_values;
-          double fstar_n = 0.0;  // n * f*(p)
-          for (const MaskBucket& bucket : buckets) {
-            std::uint64_t probe = static_cast<std::uint64_t>(pc.sa) * bucket.sa_stride;
-            for (std::size_t i = 0; i < bucket.unstarred.size(); ++i) {
-              probe += bucket.strides[i] * qi[bucket.unstarred[i]];
-            }
-            const double* mass = bucket.mass.Find(probe);
-            if (mass != nullptr) fstar_n += *mass;
-          }
-          LDIV_CHECK_GT(fstar_n, 0.0) << "f* must cover every data point";
-          partial += (pc.count / n) * std::log(pc.count / fstar_n);
+          LDIV_CHECK_GT(fstar_n[p], 0.0) << "f* must cover every data point";
+          partial += (pc.count / n) * std::log(pc.count / fstar_n[p]);
         }
         return partial;
       },

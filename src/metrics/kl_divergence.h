@@ -23,10 +23,14 @@ namespace ldv {
 /// treated as uniform over the whole attribute domain, a retained value as a
 /// point mass; SA values are never generalized.
 ///
-/// Exact computation in O(n + p * 2^d) for p distinct points: the groups
-/// of T* are bucketed by their star mask (at most 2^d masks), and f*(p) is
-/// assembled per distinct data point by one lookup per mask (a mixed-radix
-/// key, checked never to wrap 64 bits).
+/// Exact computation in O(n + (p + q) * s) for p distinct points, q
+/// distinct QI vectors and s distinct star patterns (s <= min(2^d,
+/// groups)): the groups of T* are bucketed by their star pattern, each
+/// pattern numbers the projections of QI vectors onto its unstarred
+/// attributes exactly (a hash checked against the stored values), and
+/// f*(p) is assembled per distinct data point by one (projection, SA)
+/// lookup per pattern. Any number of QI attributes and any domain sizes
+/// work.
 double KlDivergenceSuppression(const Table& table, const GeneralizedTable& generalized,
                                const GroupedTable* grouped = nullptr);
 

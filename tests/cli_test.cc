@@ -14,6 +14,7 @@
 
 #include "common/flags.h"
 #include "common/schema_spec.h"
+#include "engine/job_spec.h"
 
 namespace ldv {
 namespace {
@@ -182,22 +183,22 @@ TEST(CliOptions, DefaultsAndSingleRun) {
   CliOptions options;
   std::string error;
   ASSERT_TRUE(ParseCli({"--algo=tp", "--l=4", "--n=500"}, &options, &error)) << error;
-  EXPECT_EQ(options.algorithms, std::vector<Algorithm>{Algorithm::kTp});
-  EXPECT_EQ(options.ls, std::vector<std::uint32_t>{4});
-  EXPECT_EQ(options.ns, std::vector<std::uint64_t>{500});
-  EXPECT_EQ(options.ds, std::vector<std::uint64_t>{3});
-  EXPECT_EQ(options.dataset.name, "sal");
-  EXPECT_FALSE(options.sweep);
-  EXPECT_TRUE(options.compute_kl);
+  EXPECT_EQ(options.spec.algorithms, std::vector<Algorithm>{Algorithm::kTp});
+  EXPECT_EQ(options.spec.ls, std::vector<std::uint32_t>{4});
+  EXPECT_EQ(options.spec.ns, std::vector<std::uint64_t>{500});
+  EXPECT_EQ(options.spec.ds, std::vector<std::uint64_t>{3});
+  EXPECT_EQ(options.spec.dataset.name, "sal");
+  EXPECT_FALSE(options.spec.sweep);
+  EXPECT_TRUE(options.spec.compute_kl);
 }
 
 TEST(CliOptions, AllExpandsToEveryRegisteredAlgorithm) {
   CliOptions options;
   std::string error;
   ASSERT_TRUE(ParseCli({"--algo=all"}, &options, &error)) << error;
-  EXPECT_EQ(options.algorithms.size(), kAlgorithmCount);
-  EXPECT_EQ(options.algorithms.front(), Algorithm::kTp);
-  EXPECT_EQ(options.algorithms.back(), Algorithm::kTds);
+  EXPECT_EQ(options.spec.algorithms.size(), kAlgorithmCount);
+  EXPECT_EQ(options.spec.algorithms.front(), Algorithm::kTp);
+  EXPECT_EQ(options.spec.algorithms.back(), Algorithm::kTds);
 }
 
 TEST(CliOptions, UnknownAlgorithmIsACleanError) {
@@ -242,24 +243,24 @@ TEST(CliOptions, FormatFlagRules) {
   // --schema implies a coded load under the default auto format.
   options = CliOptions();
   ASSERT_TRUE(ParseCli({"--input=x.csv", "--schema=Age:3|S:2"}, &options, &error)) << error;
-  EXPECT_EQ(options.format, CsvFormat::kCoded);
-  EXPECT_TRUE(options.schema.has_value());
+  EXPECT_EQ(options.spec.format, CsvFormat::kCoded);
+  EXPECT_EQ(options.spec.schema_spec, "Age:3|S:2");
   // An explicit raw load never needs the file at parse time.
   options = CliOptions();
   ASSERT_TRUE(ParseCli({"--input=x.csv", "--format=raw"}, &options, &error)) << error;
-  EXPECT_EQ(options.format, CsvFormat::kRaw);
-  EXPECT_FALSE(options.schema.has_value());
+  EXPECT_EQ(options.spec.format, CsvFormat::kRaw);
+  EXPECT_EQ(options.spec.schema_spec, "");
 }
 
 TEST(CliOptions, ThreadsAcceptsCountsAndAuto) {
   CliOptions options;
   std::string error;
   ASSERT_TRUE(ParseCli({"--n=500"}, &options, &error)) << error;
-  EXPECT_EQ(options.threads, 0u);  // default: auto
+  EXPECT_EQ(options.spec.threads, 0u);  // default: auto
   ASSERT_TRUE(ParseCli({"--n=500", "--threads=auto"}, &options, &error)) << error;
-  EXPECT_EQ(options.threads, 0u);
+  EXPECT_EQ(options.spec.threads, 0u);
   ASSERT_TRUE(ParseCli({"--n=500", "--threads=6"}, &options, &error)) << error;
-  EXPECT_EQ(options.threads, 6u);
+  EXPECT_EQ(options.spec.threads, 6u);
   EXPECT_FALSE(ParseCli({"--n=500", "--threads=many"}, &options, &error));
   EXPECT_NE(error.find("--threads"), std::string::npos) << error;
   EXPECT_FALSE(ParseCli({"--n=500", "--threads=4x"}, &options, &error));
@@ -299,9 +300,9 @@ TEST(CliOptions, ConfigFileDrivesARunAndFlagsWin) {
   std::string error;
   const std::string config_flag = "--config=" + path;
   ASSERT_TRUE(ParseCli({config_flag.c_str(), "--algo=anatomy"}, &options, &error)) << error;
-  EXPECT_EQ(options.algorithms, std::vector<Algorithm>{Algorithm::kAnatomy});
-  EXPECT_EQ(options.ls, std::vector<std::uint32_t>{4});
-  EXPECT_EQ(options.ns, std::vector<std::uint64_t>{1500});
+  EXPECT_EQ(options.spec.algorithms, std::vector<Algorithm>{Algorithm::kAnatomy});
+  EXPECT_EQ(options.spec.ls, std::vector<std::uint32_t>{4});
+  EXPECT_EQ(options.spec.ns, std::vector<std::uint64_t>{1500});
   std::remove(path.c_str());
 }
 
@@ -311,6 +312,149 @@ TEST(CliOptions, HelpShortCircuits) {
   ASSERT_TRUE(ParseCli({"--help"}, &options, &error));
   EXPECT_TRUE(options.help);
   EXPECT_NE(CliUsage("ldiv").find("--algo"), std::string::npos);
+}
+
+// Every job key read three ways -- as an argv flag, as a `--config` line,
+// and as daemon wire text -- yields the same JobSpec: the three front ends
+// share one key reader. Each row is a set of `key = value` pairs; the
+// `timings` key is spelled `no-timings` on the command line. CSV rows give
+// their format, so the CLI's resolution of `auto` is not in play.
+TEST(JobSpecKeys, FlagsConfigLinesAndWireTextAgree) {
+  const std::string raw = WriteTempFile("keys_raw.csv", "Age,City,Disease\nyoung,Oslo,flu\n");
+  const std::string coded = testing::TempDir() + "keys_coded.csv";
+  using Pairs = std::vector<std::pair<std::string, std::string>>;
+  const std::vector<Pairs> rows = {
+      {{"algo", "mondrian,tds"}},
+      {{"l", "3,5"}},
+      {{"input", raw}, {"format", "raw"}},
+      {{"input", coded}, {"format", "coded"}, {"schema", "Age:79,Gender:2|Income:50"}},
+      {{"dataset", "occ"}},
+      {{"seed", "11"}},
+      {{"n", "500,700"}},
+      {{"d", "2,4"}},
+      {{"out", "/tmp/keys_out"}},
+      {{"sweep", "true"}},
+      {{"write-releases", "true"}},
+      {{"kl", "false"}},
+      {{"timings", "false"}},
+      {{"threads", "auto"}},
+      {{"threads", "6"}},
+      {{"memory-budget", "512M"}},
+      {{"memory-budget", "16777216"}},
+      {{"artifact-cache", "64M"}},
+      {{"artifact-cache", "0"}},
+      {{"emit-input", "/tmp/keys_in.csv"}},
+      {{"priority", "7"}},
+      {{"deadline-ms", "900"}},
+  };
+  constexpr std::string_view kSubmitFlags[] = {"socket", "priority", "deadline-ms", "retry"};
+  const auto parse_argv = [&](std::vector<std::string> args) {
+    std::vector<const char*> argv = {"ldiv"};
+    for (const std::string& arg : args) argv.push_back(arg.c_str());
+    CliOptions options;
+    std::string error;
+    EXPECT_TRUE(ParseCliOptions(static_cast<int>(argv.size()), argv.data(), &options, &error,
+                                kSubmitFlags))
+        << error;
+    return options.spec;
+  };
+  // The fields a JobSpec carries, in one comparable string.
+  const auto render = [](const JobSpec& spec) {
+    std::string text = SerializeJobSpec(spec) + "format: " + std::string(CsvFormatName(spec.format));
+    for (std::uint64_t n : spec.ns) text += " n: " + std::to_string(n);
+    for (std::uint64_t d : spec.ds) text += " d: " + std::to_string(d);
+    return text;
+  };
+
+  const std::string defaults = render(JobSpec());
+  for (const Pairs& row : rows) {
+    SCOPED_TRACE(row.front().first + " = " + row.front().second);
+    std::vector<std::string> flags;
+    std::string config_text;
+    std::string wire = "version = 1\n";
+    for (const auto& [key, value] : row) {
+      const bool timings = key == "timings";
+      flags.push_back(timings ? "--no-timings" : "--" + key + "=" + value);
+      config_text += timings ? "no-timings = true\n" : key + " = " + value + "\n";
+      wire += key + " = " + value + "\n";
+    }
+    const std::string config = WriteTempFile("keys.conf", config_text);
+    const JobSpec from_flags = parse_argv(flags);
+    const JobSpec from_config = parse_argv({"--config=" + config});
+    Expected<JobSpec, PipelineError> from_wire = ParseJobSpec(wire);
+    ASSERT_TRUE(from_wire.ok()) << from_wire.error().message;
+    Expected<ResolvedJobSpec, PipelineError> resolved = ResolveJobSpec(from_wire.value());
+    ASSERT_TRUE(resolved.ok()) << resolved.error().message;
+
+    EXPECT_EQ(render(from_flags), render(from_config));
+    EXPECT_EQ(render(from_flags), render(resolved->spec));
+    if (row.front().second != "auto") {
+      EXPECT_NE(render(from_flags), defaults) << "the row must change the spec";
+    }
+    std::remove(config.c_str());
+  }
+  std::remove(raw.c_str());
+}
+
+// The `ldiv submit` payload of an argv line: the flags parsed the way
+// SubmitMain parses them, serialized for the wire. Pinned byte for byte,
+// since a daemon keys its caches on what it receives.
+std::string SubmitPayload(std::vector<const char*> args) {
+  constexpr std::string_view kSubmitFlags[] = {"socket", "priority", "deadline-ms", "retry"};
+  args.insert(args.begin(), "ldiv");
+  CliOptions options;
+  FlagSet raw_flags;
+  std::string error;
+  if (!ParseCliOptions(static_cast<int>(args.size()), args.data(), &options, &error,
+                       kSubmitFlags, &raw_flags)) {
+    return "error: " + error;
+  }
+  JobSpec spec = ToJobSpec(options);
+  if (!raw_flags.GetUint32("priority", spec.priority, &spec.priority, &error) ||
+      !raw_flags.GetUint64("deadline-ms", spec.deadline_ms, &spec.deadline_ms, &error)) {
+    return "error: " + error;
+  }
+  return SerializeJobSpec(spec);
+}
+
+TEST(SubmitPayload, ArgvLinesSerializeToPinnedBytes) {
+  const std::string coded = testing::TempDir() + "payload_coded.csv";
+  const std::string raw = WriteTempFile("payload_raw.csv", "Age,City,Disease\nyoung,Oslo,flu\n");
+  const std::string out = testing::TempDir() + "payload_out";
+  const std::string coded_flag = "--input=" + coded;
+  const std::string raw_flag = "--input=" + raw;
+  const std::string out_flag = "--out=" + out;
+
+  EXPECT_EQ(SubmitPayload({coded_flag.c_str(), "--schema=Age Group:79,Sex:2|Annual Income:50",
+                           "--algo=tp", "--l=4", out_flag.c_str()}),
+            "version = 1\nalgo = TP\nl = 4\ninput = " + coded +
+                "\nformat = coded\nschema = Age Group:79,Sex:2|Annual Income:50\nout = " + out +
+                "\n");
+  EXPECT_EQ(SubmitPayload({coded_flag.c_str(), "--schema=79,2,50", out_flag.c_str()}),
+            "version = 1\nalgo = TP+\nl = 2\ninput = " + coded +
+                "\nformat = coded\nschema = Q1:79,Q2:2|S:50\nout = " + out + "\n");
+  EXPECT_EQ(SubmitPayload({raw_flag.c_str(), "--algo=anatomy,tds", "--l=3", out_flag.c_str()}),
+            "version = 1\nalgo = Anatomy,TDS\nl = 3\ninput = " + raw +
+                "\nformat = raw\nout = " + out + "\n");
+  EXPECT_EQ(SubmitPayload({"--algo=all", "--l=2,4", "--dataset=occ", "--n=500,1000", "--d=2,3",
+                           "--seed=7", "--sweep", "--write-releases", "--kl=false",
+                           "--no-timings", out_flag.c_str()}),
+            "version = 1\nalgo = TP,TP+,Hilbert,Mondrian,Anatomy,TDS\nl = 2,4\n"
+            "dataset = occ\nseed = 7\nn = 500,1000\nd = 2,3\nout = " + out +
+                "\nsweep = true\nwrite-releases = true\nkl = false\ntimings = false\n");
+  EXPECT_EQ(SubmitPayload({"--memory-budget=512M", "--artifact-cache=64M", "--threads=3",
+                           out_flag.c_str()}),
+            "version = 1\nalgo = TP+\nl = 2\ndataset = sal\nn = 10000\nd = 3\nout = " + out +
+                "\nthreads = 3\nmemory-budget = 536870912\nartifact-cache = 67108864\n");
+  EXPECT_EQ(SubmitPayload({"--threads=auto", "--n=800", "--emit-input=/tmp/in.csv",
+                           out_flag.c_str()}),
+            "version = 1\nalgo = TP+\nl = 2\ndataset = sal\nn = 800\nd = 3\nout = " + out +
+                "\nemit-input = /tmp/in.csv\n");
+  EXPECT_EQ(SubmitPayload({"--socket=/tmp/ldivd.sock", "--priority=5", "--deadline-ms=2500",
+                           "--retry=2", "--algo=mondrian", out_flag.c_str()}),
+            "version = 1\nalgo = Mondrian\nl = 2\ndataset = sal\nn = 10000\nd = 3\nout = " +
+                out + "\npriority = 5\ndeadline-ms = 2500\n");
+  std::remove(raw.c_str());
 }
 
 }  // namespace

@@ -17,7 +17,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "cli/pipeline.h"
+#include "cli/cli_options.h"
 #include "common/csv.h"
 #include "common/expected.h"
 #include "common/memory_budget.h"
@@ -106,6 +106,45 @@ TEST(JobSpecWire, RoundTripsEveryNonDefaultField) {
   EXPECT_EQ(parsed->memory_budget, 64u << 20);
   EXPECT_EQ(parsed->priority, 7u);
   EXPECT_EQ(parsed->deadline_ms, 1500u);
+}
+
+TEST(JobSpecWire, AcceptsTheFlagSpellingsOfThreadsAndByteSizes) {
+  Expected<JobSpec, PipelineError> parsed = ParseJobSpec(
+      "version = 1\nthreads = auto\nmemory-budget = 512M\nartifact-cache = 64M\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+  EXPECT_EQ(parsed->threads, 0u);
+  EXPECT_EQ(parsed->memory_budget, 512ull << 20);
+  EXPECT_EQ(parsed->artifact_cache, 64ull << 20);
+
+  Expected<JobSpec, PipelineError> bad_threads = ParseJobSpec("version = 1\nthreads = many\n");
+  ASSERT_FALSE(bad_threads.ok());
+  EXPECT_EQ(bad_threads.error().field, "threads");
+  Expected<JobSpec, PipelineError> bad_budget =
+      ParseJobSpec("version = 1\nmemory-budget = 5Q\n");
+  ASSERT_FALSE(bad_budget.ok());
+  EXPECT_EQ(bad_budget.error().field, "memory-budget");
+}
+
+TEST(JobSpecWire, RejectsTheCliPresenceConflicts) {
+  Expected<JobSpec, PipelineError> input_and_n =
+      ParseJobSpec("version = 1\ninput = /tmp/x.csv\nformat = raw\nn = 500\n");
+  ASSERT_FALSE(input_and_n.ok());
+  EXPECT_EQ(input_and_n.error().code, PipelineErrorCode::kUsage);
+  EXPECT_EQ(input_and_n.error().field, "n");
+  EXPECT_NE(input_and_n.error().message.find("conflicts with --input"), std::string::npos)
+      << input_and_n.error().message;
+
+  Expected<JobSpec, PipelineError> input_and_seed =
+      ParseJobSpec("version = 1\ninput = /tmp/x.csv\nseed = 3\n");
+  ASSERT_FALSE(input_and_seed.ok());
+  EXPECT_EQ(input_and_seed.error().field, "seed");
+
+  Expected<JobSpec, PipelineError> format_alone = ParseJobSpec("version = 1\nformat = auto\n");
+  ASSERT_FALSE(format_alone.ok());
+  EXPECT_EQ(format_alone.error().field, "format");
+  Expected<JobSpec, PipelineError> schema_alone = ParseJobSpec("version = 1\nschema = 3|2\n");
+  ASSERT_FALSE(schema_alone.ok());
+  EXPECT_EQ(schema_alone.error().field, "schema");
 }
 
 TEST(JobSpecWire, RejectsUnknownKeysAndBadVersions) {
@@ -391,18 +430,16 @@ TEST(Engine, DisabledArtifactCacheMatchesTheHitPathByteForByte) {
 
 TEST(Engine, MatchesTheCliAdapterByteForByte) {
   CliOptions options;
-  options.dataset.name = "sal";
-  options.ns = {900};
-  options.ds = {3};
-  options.algorithms = {Algorithm::kTpPlus};
-  options.ls = {3};
-  options.timings = false;
+  std::vector<const char*> argv = {"ldiv", "--n=900", "--algo=tp+", "--l=3", "--no-timings"};
+  std::string error;
+  ASSERT_TRUE(ParseCliOptions(static_cast<int>(argv.size()), argv.data(), &options, &error))
+      << error;
 
-  Expected<JobResult, PipelineError> via_cli = RunPipeline(options);
+  Expected<JobResult, PipelineError> via_cli = GlobalEngine().Run(options.spec);
   ASSERT_TRUE(via_cli.ok()) << via_cli.error().message;
 
   Engine engine;
-  Expected<JobResult, PipelineError> via_engine = engine.Run(ToJobSpec(options));
+  Expected<JobResult, PipelineError> via_engine = engine.Run(options.spec);
   ASSERT_TRUE(via_engine.ok()) << via_engine.error().message;
 
   ReportOptions report_options;

@@ -135,30 +135,6 @@ TEST(HilbertPartitioner, LocalityBeatsArbitraryGrouping) {
   EXPECT_LT(hilbert_stars * 10, rr_stars * 7);
 }
 
-TEST(HilbertPartitioner, WindowDpNotWorseThanGreedyOnSmallInputs) {
-  Rng rng(21);
-  int dp_wins_or_ties = 0, trials = 0;
-  for (int t = 0; t < 10; ++t) {
-    Table table = testutil::RandomEligibleTable(rng, 120, {6, 4}, 5, 3);
-    if (!IsTableEligible(table, 3)) continue;
-    ++trials;
-    HilbertOptions greedy;
-    HilbertOptions dp;
-    dp.splitter = HilbertOptions::Splitter::kWindowDp;
-    HilbertResult rg = HilbertAnonymize(table, 3, greedy);
-    HilbertResult rd = HilbertAnonymize(table, 3, dp);
-    ASSERT_TRUE(rg.feasible);
-    ASSERT_TRUE(rd.feasible);
-    EXPECT_TRUE(IsLDiverse(table, rd.partition, 3));
-    std::uint64_t sg = PartitionStarCount(table, rg.partition);
-    std::uint64_t sd = PartitionStarCount(table, rd.partition);
-    if (sd <= sg) ++dp_wins_or_ties;
-  }
-  // The DP optimizes the split directly, so it should not lose on most
-  // instances (it is not strictly dominant because of the window cap).
-  EXPECT_GE(dp_wins_or_ties * 2, trials);
-}
-
 TEST(HilbertPartitioner, WideSchemaFallsBackToCoarsenedGrid) {
   // 10 attributes of domain 100 need 10 x 7 = 70 bits; the encoder coarsens
   // to 6 bits per axis (right-shift) and must still produce a valid

@@ -8,8 +8,9 @@
 # check that the release and the JSON/CSV metrics reports exist and are
 # well-formed; then repeat over the committed raw string-valued CSV
 # (dictionary ingestion) and require decoded labels plus the dictionary
-# sidecar in the outputs, and run a raw CSV whose domains multiply past
-# 2^64 through the KL estimators. Then run a 12-job sweep (all algorithms
+# sidecar in the outputs, and run raw CSVs whose domains multiply past
+# 2^64, or that have more QI columns than a 32-bit mask numbers, through
+# the KL estimators. Then run a 12-job sweep (all algorithms
 # x l in {2,4}) through the batch driver at --threads=1,2,4 and require
 # byte-identical --no-timings reports AND byte-identical per-job releases
 # (deterministic, job-ordered output at any thread budget).
@@ -102,6 +103,39 @@ for algo in tp hilbert mondrian tds; do
   grep -Eq '"kl_divergence": [0-9]+(\.[0-9]+)?(e[-+]?[0-9]+)?,$' "$TMP/wide_$algo.json" ||
     { echo "FAIL: wide $algo reported no finite KL"; exit 1; }
   echo "ok: wide $algo"
+done
+
+echo "== wide raw CSVs: the suppression KL on many columns and unstarred groups =="
+# 400 rows over 22 QI columns of three labels each: more attributes than a
+# 32-bit star mask can number. Then 10k distinct rows of six wide random
+# columns, each written once with SA s0 and once with s1: TP and Hilbert
+# keep every pair as one group with no star, so the star-free pattern's
+# (QI, SA) cells range over a domain product far past 2^64.
+awk 'BEGIN { srand(11); line = "Q0"
+  for (c = 1; c < 22; c++) line = line ",Q" c
+  print line ",S"
+  for (i = 0; i < 400; i++) {
+    line = ""
+    for (c = 0; c < 22; c++) line = line "v" int(rand() * 3) ","
+    print line "s" int(rand() * 4)
+  } }' > "$TMP/many_columns.csv"
+awk 'BEGIN { srand(13); print "A,B,C,D,E,F,S"
+  for (i = 0; i < 10000; i++) {
+    line = ""
+    for (c = 0; c < 6; c++) line = line "v" int(rand() * 100000) ","
+    print line "s0"
+    print line "s1"
+  } }' > "$TMP/sa_pairs.csv"
+for input in many_columns sa_pairs; do
+  for algo in tp tp+ hilbert; do
+    "$BIN" --algo="$algo" --l=2 --input="$TMP/$input.csv" --format=raw \
+      --out="$TMP/${input}_$algo" > /dev/null 2>&1 ||
+      { echo "FAIL: $input $algo exited $?"; exit 1; }
+    check_json "$TMP/${input}_$algo.json" 1
+    grep -Eq '"kl_divergence": [0-9]+(\.[0-9]+)?(e[-+]?[0-9]+)?,$' "$TMP/${input}_$algo.json" ||
+      { echo "FAIL: $input $algo reported no finite KL"; exit 1; }
+    echo "ok: $input $algo"
+  done
 done
 
 echo "== usage errors exit with the documented codes, never an abort =="

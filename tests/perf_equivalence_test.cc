@@ -787,13 +787,10 @@ class ThreadCountEquivalence : public ::testing::Test {
 TEST_F(ThreadCountEquivalence, KernelsAreByteIdenticalAcrossThreadBudgets) {
   Table sal = GenerateSal(20000, 1);
   Table t = sal.ProjectQi({kAge, kGender, kRace, kEducation});
-  HilbertOptions dp_options;
-  dp_options.splitter = HilbertOptions::Splitter::kWindowDp;
 
   SetThreadBudget(1);
   Workspace ref_ws;
   HilbertResult greedy_ref = HilbertAnonymize(t, 6, {}, &ref_ws);
-  HilbertResult dp_ref = HilbertAnonymize(t, 6, dp_options, &ref_ws);
   MondrianResult mondrian_ref = MondrianAnonymize(t, 6, &ref_ws);
   GroupedTable grouped_ref(t, &ref_ws);
   TpResult tp = RunTp(t, 6);
@@ -808,8 +805,6 @@ TEST_F(ThreadCountEquivalence, KernelsAreByteIdenticalAcrossThreadBudgets) {
 
     HilbertResult greedy = HilbertAnonymize(t, 6, {}, &ws);
     ExpectSamePartition(greedy_ref.partition, greedy.partition);
-    HilbertResult dp = HilbertAnonymize(t, 6, dp_options, &ws);
-    ExpectSamePartition(dp_ref.partition, dp.partition);
 
     MondrianResult mondrian = MondrianAnonymize(t, 6, &ws);
     ExpectSamePartition(mondrian_ref.partition, mondrian.partition);

@@ -45,11 +45,20 @@ TEST(Registry, FindUnknownNameReturnsNull) {
 TEST(Registry, CreateHonorsOptions) {
   AnonymizerOptions options;
   options.compute_kl = false;
-  options.hilbert.splitter = HilbertOptions::Splitter::kWindowDp;
   std::unique_ptr<Anonymizer> algo =
       AlgorithmRegistry::Global().Create(Algorithm::kHilbert, options);
   EXPECT_FALSE(algo->options().compute_kl);
-  EXPECT_EQ(algo->options().hilbert.splitter, HilbertOptions::Splitter::kWindowDp);
+  const Anonymizer& registered = AlgorithmRegistry::Global().Get(Algorithm::kHilbert);
+  EXPECT_TRUE(registered.options().compute_kl) << "options are per instance";
+
+  Table table = GenerateSal(2000, 1).ProjectQi({kAge, kGender, kEducation});
+  AnonymizationOutcome without_kl = algo->Run(table, 4);
+  AnonymizationOutcome with_kl = registered.Run(table, 4);
+  ASSERT_TRUE(without_kl.feasible);
+  ASSERT_TRUE(with_kl.feasible);
+  EXPECT_EQ(without_kl.kl_divergence, 0.0);
+  EXPECT_GT(with_kl.kl_divergence, 0.0);
+  EXPECT_EQ(without_kl.stars, with_kl.stars) << "the KL switch leaves the solve alone";
 }
 
 // The acceptance-criteria parity test: every registered algorithm, run on

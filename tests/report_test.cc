@@ -11,7 +11,7 @@
 #include <sstream>
 
 #include "anonymity/release.h"
-#include "cli/pipeline.h"
+#include "engine/engine.h"
 #include "core/algorithm.h"
 #include "test_util.h"
 

@@ -31,12 +31,12 @@
 #include <vector>
 
 #include "cli/cli_options.h"
-#include "cli/pipeline.h"
 #include "common/flags.h"
 #include "common/memory_budget.h"
 #include "daemon/client.h"
 #include "daemon/daemon.h"
 #include "daemon/protocol.h"
+#include "engine/engine.h"
 #include "engine/report.h"
 
 namespace {
@@ -74,7 +74,8 @@ int OneShotMain(int argc, char** argv) {
     return kExitOk;
   }
 
-  Expected<JobResult, PipelineError> run = RunPipeline(options);
+  const JobSpec& spec = options.spec;
+  Expected<JobResult, PipelineError> run = GlobalEngine().Run(spec);
   if (!run.ok()) {
     std::fprintf(stderr, "ldiv: %s\n", run.error().message.c_str());
     return ExitCodeFor(run.error().code);
@@ -83,7 +84,7 @@ int OneShotMain(int argc, char** argv) {
 
   std::string notices;
   if (std::optional<PipelineError> write_error =
-          WriteJobOutputs(ToJobSpec(options), result, &notices)) {
+          WriteJobOutputs(spec, result, &notices)) {
     std::fprintf(stderr, "ldiv: %s\n", write_error->message.c_str());
     return ExitCodeFor(write_error->code);
   }
@@ -107,8 +108,8 @@ int OneShotMain(int argc, char** argv) {
                  static_cast<unsigned long long>(outcome.suppressed_tuples),
                  outcome.group_stats.group_count, outcome.kl_divergence, outcome.seconds);
   }
-  std::fprintf(stderr, "report: %s.json, %s_metrics.csv (%zu jobs)\n", options.out.c_str(),
-               options.out.c_str(), result.jobs.size());
+  std::fprintf(stderr, "report: %s.json, %s_metrics.csv (%zu jobs)\n", spec.out.c_str(),
+               spec.out.c_str(), result.jobs.size());
 
   // A sweep treats infeasible cells as data; a single run fails loudly.
   if (result.jobs.size() == 1 && infeasible > 0) {
@@ -226,12 +227,8 @@ int SubmitMain(int argc, char** argv) {
   }
 
   std::string socket_path;
-  std::uint32_t priority = 0;
-  std::uint64_t deadline_ms = 0;
   std::uint64_t retries = 0;
   if (!raw_flags.GetString("socket", "", &socket_path, &error) ||
-      !raw_flags.GetUint32("priority", 0, &priority, &error) ||
-      !raw_flags.GetUint64("deadline-ms", 0, &deadline_ms, &error) ||
       !raw_flags.GetUint64("retry", 0, &retries, &error)) {
     std::fprintf(stderr, "ldiv submit: %s\n", error.c_str());
     return kExitUsage;
@@ -241,12 +238,10 @@ int SubmitMain(int argc, char** argv) {
     return kExitUsage;
   }
 
-  options.input = Absolutize(options.input);
-  options.out = Absolutize(options.out);
-  options.emit_input = Absolutize(options.emit_input);
-  JobSpec spec = ToJobSpec(options);
-  spec.priority = priority;
-  spec.deadline_ms = deadline_ms;
+  JobSpec& spec = options.spec;
+  spec.input = Absolutize(spec.input);
+  spec.out = Absolutize(spec.out);
+  spec.emit_input = Absolutize(spec.emit_input);
 
   // Jittered exponential backoff against `busy` backpressure: the daemon's
   // retry-after-ms hint is the base, doubled per attempt (capped at 10s),
